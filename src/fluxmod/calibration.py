@@ -16,10 +16,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import FlatResponse, NonMonotoneRegion, ValidationError
-from .modulation import _fbar_quad, _series_array
+from .modulation import avg_frequency_slopes, sweet_spot_solve
 from .pulses import (
     BichromaticPulse,
     TransferFunction,
@@ -27,7 +28,7 @@ from .pulses import (
     distort_pulse,
     wrap_angle,
 )
-from .transmon import TransmonSpec
+from .transmon import TransmonSpec, fourier_coefficients
 
 __all__ = [
     "VirtualHardware",
@@ -87,17 +88,11 @@ class RamseyResult:
 
 
 def _model_fbar(spec: TransmonSpec, pulse: BichromaticPulse) -> float:
-    coeffs = _series_array(spec, "f01")
-    return float(
-        _fbar_quad(
-            coeffs,
-            pulse.phi_dc_phi0,
-            pulse.p,
-            pulse.alpha_rad,
-            pulse.theta_rad,
-            np.array([pulse.phi_ac_phi0]),
-        )[0]
+    fbar, _, _ = avg_frequency_slopes(
+        fourier_coefficients(spec),
+        pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, [pulse.phi_ac_phi0],
     )
+    return float(fbar[0])
 
 
 def virtual_ramsey(hw: VirtualHardware, pulse: BichromaticPulse) -> RamseyResult:
@@ -136,7 +131,7 @@ class Theta0Estimate:
 
 def _model_nu1(spec: TransmonSpec, pulse: BichromaticPulse) -> float:
     """First theta-harmonic of the averaged frequency at given amplitudes."""
-    coeffs = _series_array(spec, "f01")
+    coeffs = fourier_coefficients(spec).as_array()
     n = np.arange(coeffs.size)
     a1 = 2.0 * np.pi * pulse.amp_fundamental_phi0
     ap = 2.0 * np.pi * pulse.amp_multiple_phi0
@@ -145,7 +140,10 @@ def _model_nu1(spec: TransmonSpec, pulse: BichromaticPulse) -> float:
 
 
 def _theta0_from_sweep(
-    hw: VirtualHardware, template: BichromaticPulse, n_theta: int
+    hw: VirtualHardware,
+    template: BichromaticPulse,
+    n_theta: int,
+    transfer: TransferFunction | None,
 ) -> tuple[float, float]:
     thetas = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
     measured = np.array(
@@ -174,8 +172,10 @@ def _theta0_from_sweep(
 
     delta = math.atan2(-b1, a1)
     # the sweep only fixes the m=1 phase up to the sign of its amplitude;
-    # the model supplies that sign
-    if _model_nu1(hw.spec, template) < 0.0:
+    # the model supplies that sign at the tone amplitudes the qubit sees,
+    # which the line attenuation can move across a zero of the harmonic
+    seen = template if transfer is None else distort_pulse(template, transfer)
+    if _model_nu1(hw.spec, seen) < 0.0:
         delta += math.pi
     theta0 = wrap_angle(delta) / (1 - template.p)
     half = math.pi / (template.p - 1)
@@ -188,6 +188,7 @@ def calibrate_theta0(
     template: BichromaticPulse,
     n_theta: int = 32,
     amplitudes: tuple[float, ...] = (),
+    transfer: TransferFunction | None = None,
 ) -> Theta0Estimate:
     """Recover the hardware phase offset from averaged-frequency sweeps.
 
@@ -197,6 +198,11 @@ def calibrate_theta0(
     the median estimate is returned, which suppresses occasional
     low-contrast sweeps.  Requires p >= 3: for p = 1 the relative phase
     is invariant under the offset and nothing can be learned.
+
+    ``transfer`` is a measured line response.  When given, the sign of
+    the fitted harmonic is taken at the attenuated tone amplitudes that
+    reach the qubit rather than at the programmed ones; without it the
+    line is assumed flat.
     """
     if template.p < 2:
         raise ValidationError(
@@ -214,7 +220,7 @@ def calibrate_theta0(
     estimates, residuals = [], []
     for amp in amps:
         est, resid = _theta0_from_sweep(
-            hw, replace(template, phi_ac_phi0=float(amp)), n_theta
+            hw, replace(template, phi_ac_phi0=float(amp)), n_theta, transfer
         )
         estimates.append(est)
         residuals.append(resid)
@@ -254,41 +260,33 @@ def calibrate_transfer_function(
     if not 0.0 < probe_amp_phi0 < 0.9:
         raise ValidationError("probe amplitude must sit inside the first flux period")
 
-    coeffs = _series_array(hw.spec, "f01")
-    phi_dc = 0.0
+    series = fourier_coefficients(hw.spec)
 
     def fbar(amp: float) -> float:
-        return float(_fbar_quad(coeffs, phi_dc, 1, 0.0, 0.0, np.array([amp]))[0])
+        return float(avg_frequency_slopes(series, 0.0, 1, 0.0, 0.0, [amp])[0][0])
 
     # invertible branch: zero amplitude down to the first stationary point
-    from .modulation import sweet_spot_solve
-
-    bound = sweet_spot_solve(hw.spec, phi_dc, 1, 0.0, 0.0)[0][0] * 0.999
+    bound = sweet_spot_solve(hw.spec, 0.0, 1, 0.0, 0.0)[0][0] * 0.999
     if probe_amp_phi0 > 0.95 * bound:
         raise NonMonotoneRegion(
             f"probe amplitude {probe_amp_phi0} leaves no headroom below the "
             f"monotone bound {bound:.4f}; the inversion would be ambiguous"
         )
 
+    top, bot = fbar(0.0), fbar(bound)
     trans = []
     for f in freqs:
         probe = BichromaticPulse(
             fm_mhz=f, phi_ac_phi0=probe_amp_phi0, alpha_rad=0.0, theta_rad=0.0, p=1
         )
         measured = virtual_ramsey(hw, probe).f_bar_ghz
-        top, bot = fbar(0.0), fbar(bound)
         if measured > top + 1e-12 or measured < bot - 1e-12:
             raise NonMonotoneRegion(
                 f"measurement at {f} MHz falls outside the invertible branch"
             )
-        a, b = 0.0, bound
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if fbar(mid) > measured:
-                a = mid
-            else:
-                b = mid
-        delivered = 0.5 * (a + b)
+        # clamp the tolerated overshoot so the bracket keeps its sign change
+        level = min(max(measured, bot), top)
+        delivered = brentq(lambda a: fbar(a) - level, 0.0, bound, xtol=1e-15)
         trans.append(delivered / probe_amp_phi0)
     return TransferFunction(freqs_mhz=freqs, transmission=tuple(trans))
 
@@ -316,15 +314,17 @@ def calibrate_and_verify(
     amplitudes: tuple[float, ...] = (),
     probe_amp_phi0: float = 0.3,
 ) -> CalibrationOutcome:
-    """Full loop: estimate offset and transfer, compensate, re-measure.
+    """Full loop: estimate transfer and offset, compensate, re-measure.
 
     The verification compares the measurement of the compensated pulse
     against the ideal model value for the desired pulse; with a faithful
     calibration the difference collapses to the noise floor.  Probe
     frequencies should cover both tone frequencies of the desired pulse.
     """
-    theta0 = calibrate_theta0(hw, desired, n_theta=n_theta, amplitudes=amplitudes)
     tf = calibrate_transfer_function(hw, probe_freqs_mhz, probe_amp_phi0=probe_amp_phi0)
+    theta0 = calibrate_theta0(
+        hw, desired, n_theta=n_theta, amplitudes=amplitudes, transfer=tf
+    )
     compensated = compensate_pulse(desired, tf, theta0_rad=theta0.theta0_rad)
     target = _model_fbar(hw.spec, desired)
     measured = virtual_ramsey(hw, compensated).f_bar_ghz

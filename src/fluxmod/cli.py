@@ -41,9 +41,20 @@ from .gates import (
     optimize_weight,
     plan_gate,
 )
-from .modulation import operating_point, sweet_spot_atlas, sweet_spot_solve
+from .modulation import (
+    avg_frequency_slopes,
+    operating_point,
+    sweet_spot_atlas,
+    sweet_spot_solve,
+)
 from .pulses import BichromaticPulse
-from .transmon import Device, frequency_curve, load_device, transition_frequencies
+from .transmon import (
+    Device,
+    fourier_coefficients,
+    frequency_curve,
+    load_device,
+    transition_frequencies,
+)
 
 TURN = 2.0 * math.pi
 
@@ -352,14 +363,12 @@ def plan(run: RunContext, pair_arg, gate, k, p, alpha, theta, phi_dc, root_index
 
 def _write_resonance_curves(pair: PairSpec, pulse: BichromaticPulse, path: Path):
     """Reachable gate resonances versus amplitude at fixed mixing settings."""
-    from .modulation import _fbar_quad, _series_array
-
     amps = np.linspace(0.05, 0.9, 64)
     fbars = {
-        ch: _fbar_quad(
-            _series_array(pair.modulated, ch),
+        ch: avg_frequency_slopes(
+            fourier_coefficients(pair.modulated, channel=ch),
             pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, amps,
-        )
+        )[0]
         for ch in ("f01", "f12")
     }
     f01n, f12n = transition_frequencies(pair.neighbor, pair.neighbor_phi_dc_phi0)

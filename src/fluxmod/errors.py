@@ -10,6 +10,8 @@ mapping) can catch a whole family at once:
 
 from __future__ import annotations
 
+import math
+
 
 class FluxmodError(Exception):
     """Base class for every error raised by this package."""
@@ -28,6 +30,13 @@ class NumericalError(FluxmodError):
 
 
 # -- validation ---------------------------------------------------------
+
+def require_finite(**values: float) -> None:
+    """Raise ValidationError naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
 
 class AliasingRisk(ValidationError):
     """Sample rate below ten samples per period of the fastest tone."""

@@ -32,15 +32,17 @@ from .errors import (
     NoRoot,
     ValidationError,
     WrongSideband,
+    require_finite,
 )
 from .modulation import (
     OperatingPoint,
+    avg_frequency_slopes,
     operating_point,
     sideband_weights,
     sweet_spot_solve,
 )
 from .pulses import BichromaticPulse
-from .transmon import TransmonSpec, transition_frequencies
+from .transmon import TransmonSpec, fourier_coefficients, transition_frequencies
 
 __all__ = [
     "GateType",
@@ -94,6 +96,11 @@ class PairSpec:
     neighbor_phi_dc_phi0: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            coupling_mhz=self.coupling_mhz,
+            neighbor_phi_dc_phi0=self.neighbor_phi_dc_phi0,
+            **{f"tls_ghz[{i}]": f for i, f in enumerate(self.tls_ghz)},
+        )
         if self.coupling_mhz <= 0.0:
             raise NonPositiveCoupling("pair coupling must be positive (MHz)")
 
@@ -109,20 +116,25 @@ def _target_freq_ghz(pair: PairSpec, gate_type: GateType) -> float:
     return f12n if gate_type.neighbor_channel == "f12" else f01n
 
 
-def _ladder_fbar_ghz(pair: PairSpec, pulse: BichromaticPulse, channel: str) -> float:
-    from .modulation import _fbar_quad, _series_array
-
-    coeffs = _series_array(pair.modulated, channel)
-    return float(
-        _fbar_quad(
-            coeffs,
-            pulse.phi_dc_phi0,
-            pulse.p,
-            pulse.alpha_rad,
-            pulse.theta_rad,
-            np.array([pulse.phi_ac_phi0]),
-        )[0]
+def _ladder_fbar_ghz(pair: PairSpec, point: OperatingPoint, channel: str) -> float:
+    if channel == "f01":
+        return point.f_bar_ghz
+    pulse = point.pulse
+    fbar, _, _ = avg_frequency_slopes(
+        fourier_coefficients(pair.modulated, channel=channel),
+        pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, [pulse.phi_ac_phi0],
     )
+    return float(fbar[0])
+
+
+def _fm_from_ladder(pair: PairSpec, fbar: float, gate_type: GateType, k: int) -> float:
+    fm_ghz = (_target_freq_ghz(pair, gate_type) - fbar) / k
+    if fm_ghz <= 0.0:
+        raise WrongSideband(
+            f"sideband k={k} cannot reach the {gate_type.value} target from "
+            f"fbar={fbar:.4f} GHz"
+        )
+    return fm_ghz * 1e3
 
 
 def resonance_fm(
@@ -141,18 +153,8 @@ def resonance_fm(
     """
     if k == 0:
         raise ValidationError("sideband order k must be nonzero")
-    fbar = (
-        point.f_bar_ghz
-        if gate_type.ladder_channel == "f01"
-        else _ladder_fbar_ghz(pair, point.pulse, "f12")
-    )
-    fm_ghz = (_target_freq_ghz(pair, gate_type) - fbar) / k
-    if fm_ghz <= 0.0:
-        raise WrongSideband(
-            f"sideband k={k} cannot reach the {gate_type.value} target from "
-            f"fbar={fbar:.4f} GHz"
-        )
-    return fm_ghz * 1e3
+    fbar = _ladder_fbar_ghz(pair, point, gate_type.ladder_channel)
+    return _fm_from_ladder(pair, fbar, gate_type, k)
 
 
 def enumerate_resonances(
@@ -169,13 +171,17 @@ def enumerate_resonances(
     resonances beyond the drive band, which can legitimately empty the
     map.
     """
+    fbars = {
+        ch: _ladder_fbar_ghz(pair, point, ch)
+        for ch in {gt.ladder_channel for gt in gate_types}
+    }
     out: dict[tuple[GateType, int], float] = {}
     for gt in gate_types:
         for k in k_set:
             if k == 0:
                 continue
             try:
-                fm = resonance_fm(pair, point, gt, k)
+                fm = _fm_from_ladder(pair, fbars[gt.ladder_channel], gt, k)
             except WrongSideband:
                 continue
             if max_fm_mhz is not None and fm > max_fm_mhz:

@@ -24,9 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 from scipy.special import jv
 
-from .errors import CutoffTooSmall, NoRoot, ValidationError
+from .errors import CutoffTooSmall, NoRoot, ValidationError, require_finite
 from .pulses import BichromaticPulse
 from .transmon import FourierSeries, TransmonSpec, fourier_coefficients, transition_frequencies
 
@@ -39,6 +40,7 @@ __all__ = [
     "SidebandSpectrum",
     "avg_frequency_timedomain",
     "avg_frequency_bessel",
+    "avg_frequency_slopes",
     "sensitivities",
     "operating_point",
     "dephasing_proxy",
@@ -53,58 +55,64 @@ SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0 = 5e-5
 _QUAD_NODES = 512
 
 
-def _series_array(spec: TransmonSpec, channel: str) -> np.ndarray:
-    return fourier_coefficients(spec, channel=channel).as_array()
-
-
-def _fbar_quad(
-    coeffs: np.ndarray,
-    phi_dc: float,
-    p: int,
-    alpha: float,
-    theta: float,
-    amps: np.ndarray,
-    nodes: int = _QUAD_NODES,
-) -> np.ndarray:
-    """Average frequency for a batch of ac amplitudes, via the cosine series.
-
-    Rectangle rule on a uniform grid over one fundamental period, which is
-    spectrally exact for the periodic integrand.  The n-th harmonic of the
-    series is accumulated with iterated complex powers instead of n calls
-    to cos, so a full amplitude scan costs one (amps x nodes) array pass.
-    """
+def _drive(p: int, alpha: float, theta: float, nodes: int) -> np.ndarray:
+    """Unit-amplitude two-tone drive on a uniform grid over one period."""
     tau = np.arange(nodes) / nodes
-    drive = math.cos(alpha) * np.cos(2.0 * np.pi * tau) + math.sin(alpha) * np.cos(
+    return math.cos(alpha) * np.cos(2.0 * np.pi * tau) + math.sin(alpha) * np.cos(
         2.0 * np.pi * p * tau + theta
     )
-    phi = 2.0 * np.pi * (phi_dc + np.multiply.outer(np.asarray(amps, float), drive))
-    w = np.exp(1j * phi)
-    acc = np.full(w.shape[0], coeffs[0])
-    wn = w
-    for c in coeffs[1:]:
-        acc = acc + c * wn.real.mean(axis=1)
-        wn = wn * w
-    return acc
 
 
-def _finst_quad(
-    coeffs: np.ndarray,
-    pulse: BichromaticPulse,
-    nodes: int,
-) -> np.ndarray:
-    """Instantaneous frequency on a uniform grid over one fundamental period."""
-    tau = np.arange(nodes) / nodes
-    drive = math.cos(pulse.alpha_rad) * np.cos(2.0 * np.pi * tau) + math.sin(
-        pulse.alpha_rad
-    ) * np.cos(2.0 * np.pi * pulse.p * tau + pulse.theta_rad)
-    phi = 2.0 * np.pi * (pulse.phi_dc_phi0 + pulse.phi_ac_phi0 * drive)
+def _node_series(
+    coeffs: np.ndarray, phi: np.ndarray, slope: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Series value sum c_n cos(n phi) at every angle, and with ``slope``
+    also sum n c_n sin(n phi), which is minus its derivative in phi.
+
+    The n-th harmonic is accumulated with iterated complex powers of
+    exp(i phi) instead of n calls to cos; sin(n phi) is the imaginary part
+    of the same power.  Work stays on arrays of phi's shape.
+    """
     w = np.exp(1j * phi)
-    acc = np.full(nodes, coeffs[0])
-    wn = w
-    for c in coeffs[1:]:
-        acc = acc + c * wn.real
-        wn = wn * w
-    return acc
+    wn = w.copy()
+    f = np.full(phi.shape, coeffs[0])
+    g = np.zeros(phi.shape) if slope else None
+    for n, c in enumerate(coeffs[1:], start=1):
+        f += c * wn.real
+        if slope:
+            g += (n * c) * wn.imag
+        wn *= w
+    return f, g
+
+
+def avg_frequency_slopes(
+    series: FourierSeries,
+    phi_dc: float,
+    p: int,
+    alpha_rad: float,
+    theta_rad: float,
+    amps: np.ndarray | Sequence[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Average frequency and its two flux slopes for a batch of ac amplitudes.
+
+    Returns (f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc), each with one
+    entry per amplitude, in GHz and GHz per flux quantum, from the cosine
+    series.  Rectangle rule on a uniform grid of 512 nodes over one
+    fundamental period, which is spectrally exact for the periodic
+    integrand.  The n-th harmonic of the series is accumulated with
+    iterated complex powers instead of n calls to cos, so a full amplitude
+    scan costs one (amps x nodes) array pass.  The slopes are exact
+    derivatives of the same quadrature, not finite differences, and come
+    out of that same pass.
+    """
+    nodes = _QUAD_NODES
+    drive = _drive(p, alpha_rad, theta_rad, nodes)
+    amps = np.atleast_1d(np.asarray(amps, dtype=float))
+    phi = 2.0 * np.pi * (phi_dc + np.multiply.outer(amps, drive))
+    f, g = _node_series(series.as_array(), phi, slope=True)
+    # d phi / d phi_ac = 2 pi drive and d phi / d phi_dc = 2 pi
+    scale = -2.0 * np.pi / nodes
+    return f.mean(axis=1), scale * (g @ drive), scale * g.sum(axis=1)
 
 
 def avg_frequency_timedomain(
@@ -172,46 +180,20 @@ class Sensitivities:
     dfbar_ddc_ghz_per_phi0: float
 
 
-def _sensitivities_from_coeffs(
-    coeffs: np.ndarray,
-    phi_dc: float,
-    p: int,
-    alpha: float,
-    theta: float,
-    phi_ac: float,
-    step: float = 1e-4,
-) -> Sensitivities:
-    # five-point central differences: O(h^4), immune to the curvature at
-    # sweet spots that degrades the three-point form
-    amps = phi_ac + step * np.array([-2.0, -1.0, 1.0, 2.0])
-    fa = _fbar_quad(coeffs, phi_dc, p, alpha, theta, amps)
-    dac = (8.0 * (fa[2] - fa[1]) - (fa[3] - fa[0])) / (12.0 * step)
-    fd = np.array(
-        [
-            _fbar_quad(coeffs, phi_dc + s * step, p, alpha, theta, np.array([phi_ac]))[0]
-            for s in (-2.0, -1.0, 1.0, 2.0)
-        ]
+def _pulse_slopes(
+    spec: TransmonSpec, pulse: BichromaticPulse
+) -> tuple[float, float, float]:
+    fbar, dac, ddc = avg_frequency_slopes(
+        fourier_coefficients(spec),
+        pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, [pulse.phi_ac_phi0],
     )
-    ddc = (8.0 * (fd[2] - fd[1]) - (fd[3] - fd[0])) / (12.0 * step)
-    return Sensitivities(float(dac), float(ddc))
+    return float(fbar[0]), float(dac[0]), float(ddc[0])
 
 
-def sensitivities(
-    spec: TransmonSpec,
-    pulse: BichromaticPulse,
-    step_phi0: float = 1e-4,
-) -> Sensitivities:
+def sensitivities(spec: TransmonSpec, pulse: BichromaticPulse) -> Sensitivities:
     """Flux sensitivities of the average frequency at one pulse setting."""
-    coeffs = _series_array(spec, "f01")
-    return _sensitivities_from_coeffs(
-        coeffs,
-        pulse.phi_dc_phi0,
-        pulse.p,
-        pulse.alpha_rad,
-        pulse.theta_rad,
-        pulse.phi_ac_phi0,
-        step=step_phi0,
-    )
+    _, dac, ddc = _pulse_slopes(spec, pulse)
+    return Sensitivities(dac, ddc)
 
 
 @dataclass(frozen=True)
@@ -236,34 +218,13 @@ def operating_point(
     alone is not enough when the dc bias sits off a parity-protected
     point.
     """
-    coeffs = _series_array(spec, "f01")
-    fbar = float(
-        _fbar_quad(
-            coeffs,
-            pulse.phi_dc_phi0,
-            pulse.p,
-            pulse.alpha_rad,
-            pulse.theta_rad,
-            np.array([pulse.phi_ac_phi0]),
-        )[0]
-    )
-    sens = _sensitivities_from_coeffs(
-        coeffs,
-        pulse.phi_dc_phi0,
-        pulse.p,
-        pulse.alpha_rad,
-        pulse.theta_rad,
-        pulse.phi_ac_phi0,
-    )
-    sweet = (
-        abs(sens.dfbar_dac_ghz_per_phi0) < threshold_ghz_per_phi0
-        and abs(sens.dfbar_ddc_ghz_per_phi0) < threshold_ghz_per_phi0
-    )
+    fbar, dac, ddc = _pulse_slopes(spec, pulse)
+    sweet = abs(dac) < threshold_ghz_per_phi0 and abs(ddc) < threshold_ghz_per_phi0
     return OperatingPoint(
         pulse=pulse,
         f_bar_ghz=fbar,
-        dfbar_dac_ghz_per_phi0=sens.dfbar_dac_ghz_per_phi0,
-        dfbar_ddc_ghz_per_phi0=sens.dfbar_ddc_ghz_per_phi0,
+        dfbar_dac_ghz_per_phi0=dac,
+        dfbar_ddc_ghz_per_phi0=ddc,
         is_sweet_spot=sweet,
     )
 
@@ -289,25 +250,8 @@ def dephasing_proxy(point: OperatingPoint, noise: NoiseModel = NoiseModel()) -> 
     )
 
 
-def _dfdac_batch(
-    coeffs: np.ndarray,
-    phi_dc: float,
-    p: int,
-    alpha: float,
-    theta: float,
-    amps: np.ndarray,
-    step: float = 1e-4,
-) -> np.ndarray:
-    amps = np.asarray(amps, float)
-    stacked = np.concatenate(
-        [amps - 2 * step, amps - step, amps + step, amps + 2 * step]
-    )
-    f = _fbar_quad(coeffs, phi_dc, p, alpha, theta, stacked).reshape(4, amps.size)
-    return (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * step)
-
-
-def _solve_from_coeffs(
-    coeffs: np.ndarray,
+def _solve(
+    series: FourierSeries,
     phi_dc: float,
     p: int,
     alpha: float,
@@ -315,33 +259,22 @@ def _solve_from_coeffs(
     window: tuple[float, float],
     scan_points: int,
     xtol: float,
-) -> list[tuple[float, float]]:
+) -> list[tuple[float, float, float, float]]:
+    """(amplitude, f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc) per root."""
     lo, hi = window
     grid = np.linspace(lo, hi, scan_points)
-    der = _dfdac_batch(coeffs, phi_dc, p, alpha, theta, grid)
+    _, der, _ = avg_frequency_slopes(series, phi_dc, p, alpha, theta, grid)
 
-    def d(a: float) -> float:
-        return float(_dfdac_batch(coeffs, phi_dc, p, alpha, theta, np.array([a]))[0])
+    def slope(a: float) -> float:
+        return float(avg_frequency_slopes(series, phi_dc, p, alpha, theta, [a])[1][0])
 
     roots: list[float] = []
     for i in range(scan_points - 1):
         d0, d1 = der[i], der[i + 1]
         if d0 == 0.0:
             roots.append(float(grid[i]))
-            continue
-        if d0 * d1 < 0.0:
-            a, b, fa = float(grid[i]), float(grid[i + 1]), float(d0)
-            while b - a > xtol:
-                mid = 0.5 * (a + b)
-                fm = d(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+        elif d0 * d1 < 0.0:
+            roots.append(brentq(slope, grid[i], grid[i + 1], xtol=0.5 * xtol))
     if der[-1] == 0.0:
         roots.append(float(grid[-1]))
 
@@ -356,8 +289,10 @@ def _solve_from_coeffs(
             f"no stationary amplitude in [{lo}, {hi}] for alpha={alpha:.4f}, "
             f"theta={theta:.4f}"
         )
-    fbars = _fbar_quad(coeffs, phi_dc, p, alpha, theta, np.array(merged))
-    return [(float(r), float(f)) for r, f in zip(merged, fbars)]
+    fbar, dac, ddc = avg_frequency_slopes(series, phi_dc, p, alpha, theta, merged)
+    return [
+        (r, float(f), float(a), float(d)) for r, f, a, d in zip(merged, fbar, dac, ddc)
+    ]
 
 
 def sweet_spot_solve(
@@ -372,19 +307,22 @@ def sweet_spot_solve(
 ) -> list[tuple[float, float]]:
     """Amplitudes where the average frequency is stationary in the ac knob.
 
-    Scans the window for sign changes of the derivative and bisects each
-    bracket down to ``xtol``.  Returns (amplitude, average frequency)
-    pairs in increasing amplitude order; raises NoRoot when the window
-    contains none, which is a legitimate outcome for some mixing angles.
+    Scans the window for sign changes of the exact derivative and polishes
+    each bracket with Brent's method to within ``xtol / 2``.  Returns
+    (amplitude, average frequency) pairs in increasing amplitude order;
+    raises NoRoot when the window contains none, which is a legitimate
+    outcome for some mixing angles.
     """
+    require_finite(phi_dc=phi_dc, alpha_rad=alpha_rad, theta_rad=theta_rad)
     if not (0.0 <= window[0] < window[1]):
         raise ValidationError("window must satisfy 0 <= lo < hi")
     if scan_points < 16:
         raise ValidationError("need at least 16 scan points")
-    coeffs = _series_array(spec, "f01")
-    return _solve_from_coeffs(
-        coeffs, phi_dc, p, alpha_rad, theta_rad, window, scan_points, xtol
+    roots = _solve(
+        fourier_coefficients(spec),
+        phi_dc, p, alpha_rad, theta_rad, window, scan_points, xtol,
     )
+    return [(amp, fbar) for amp, fbar, _, _ in roots]
 
 
 @dataclass(frozen=True)
@@ -417,32 +355,18 @@ class AtlasResult:
 
 
 def _atlas_chunk(args: tuple) -> list[tuple[float, float, float, float, float, float]]:
-    (coeffs, phi_dc, p, alphas, thetas, window, scan_points, xtol) = args
-    coeffs = np.asarray(coeffs)
+    (series, phi_dc, p, alphas, thetas, window, scan_points, xtol) = args
     rows = []
     for alpha in alphas:
         for theta in thetas:
             try:
-                solutions = _solve_from_coeffs(
-                    coeffs, phi_dc, p, alpha, theta, window, scan_points, xtol
+                solutions = _solve(
+                    series, phi_dc, p, alpha, theta, window, scan_points, xtol
                 )
             except NoRoot:
                 rows.append((alpha, theta, math.nan, math.nan, math.nan, math.nan))
                 continue
-            for amp, fbar in solutions:
-                sens = _sensitivities_from_coeffs(
-                    coeffs, phi_dc, p, alpha, theta, amp
-                )
-                rows.append(
-                    (
-                        alpha,
-                        theta,
-                        amp,
-                        fbar,
-                        sens.dfbar_dac_ghz_per_phi0,
-                        sens.dfbar_ddc_ghz_per_phi0,
-                    )
-                )
+            rows.extend((alpha, theta, *sol) for sol in solutions)
     return rows
 
 
@@ -473,11 +397,11 @@ def sweet_spot_atlas(
     thetas = [float(t) for t in theta_grid]
     if not alphas or not thetas:
         raise ValidationError("grids must be non-empty")
-    coeffs = _series_array(spec, "f01")
+    series = fourier_coefficients(spec)
 
     if jobs > 1:
         chunks = [
-            (coeffs, phi_dc, p, [a], thetas, window, scan_points, xtol)
+            (series, phi_dc, p, [a], thetas, window, scan_points, xtol)
             for a in alphas
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -485,7 +409,7 @@ def sweet_spot_atlas(
         rows = [row for chunk in per_alpha for row in chunk]
     else:
         rows = _atlas_chunk(
-            (coeffs, phi_dc, p, alphas, thetas, window, scan_points, xtol)
+            (series, phi_dc, p, alphas, thetas, window, scan_points, xtol)
         )
 
     points: list[OperatingPoint] = []
@@ -581,8 +505,12 @@ def sideband_weights(
         raise ValidationError("k_range must be (low, high) with low <= high")
     if khi - klo + 1 > nodes // 4:
         raise ValidationError("k_range too wide for the node count")
-    coeffs = _series_array(spec, channel)
-    finst = _finst_quad(coeffs, pulse, nodes)
+    drive = _drive(pulse.p, pulse.alpha_rad, pulse.theta_rad, nodes)
+    finst, _ = _node_series(
+        fourier_coefficients(spec, channel=channel).as_array(),
+        2.0 * np.pi * (pulse.phi_dc_phi0 + pulse.phi_ac_phi0 * drive),
+        slope=False,
+    )
     cycles = finst / pulse.fm_ghz
     # trapezoid steps around the full period, including the wrap segment,
     # so the accumulated phase is exactly periodic-consistent

@@ -23,6 +23,7 @@ from .errors import (
     InsufficientWindow,
     OutOfBand,
     ValidationError,
+    require_finite,
 )
 
 __all__ = [
@@ -68,6 +69,13 @@ class BichromaticPulse:
     phi_dc_phi0: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            fm_mhz=self.fm_mhz,
+            phi_ac_phi0=self.phi_ac_phi0,
+            alpha_rad=self.alpha_rad,
+            theta_rad=self.theta_rad,
+            phi_dc_phi0=self.phi_dc_phi0,
+        )
         if self.fm_mhz <= 0.0:
             raise ValidationError("modulation frequency must be positive")
         if self.phi_ac_phi0 < 0.0:
@@ -306,6 +314,9 @@ class TransferFunction:
             raise ValidationError("transfer function table needs at least 4 points")
         if f.size != t.size:
             raise ValidationError("frequency and transmission columns differ in length")
+        for name, col in (("frequency", f), ("transmission", t)):
+            if not np.all(np.isfinite(col)):
+                raise ValidationError(f"{name} values must be finite numbers")
         if not np.all(np.diff(f) > 0):
             raise ValidationError("frequencies must be strictly increasing")
         if not np.all(t > 0):

@@ -28,6 +28,7 @@ from .errors import (
     FitDivergence,
     TruncationTooCoarse,
     ValidationError,
+    require_finite,
 )
 
 __all__ = [
@@ -59,6 +60,7 @@ class TransmonSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        require_finite(ej1_ghz=self.ej1_ghz, ej2_ghz=self.ej2_ghz, ec_ghz=self.ec_ghz)
         if not (self.ej1_ghz > 0.0 and self.ej2_ghz > 0.0):
             raise ValidationError("junction energies must be positive")
         if self.ec_ghz <= 0.0:
@@ -197,8 +199,12 @@ def fit_spec(
     steps from the standard transmon asymptotics.
 
     Raises FitDivergence when the targets are unreachable, including the
-    degenerate zero-tunability case (equal band edges force EJ2 -> 0).
+    degenerate zero-tunability case (equal band edges force EJ2 -> 0), and
+    ValidationError when an input is NaN or infinite.
     """
+    require_finite(
+        f01_max_ghz=f01_max_ghz, f01_min_ghz=f01_min_ghz, anharm_ghz=anharm_ghz
+    )
     if not (f01_max_ghz > f01_min_ghz > 0.0):
         raise FitDivergence(
             "need f01_max > f01_min > 0; zero tunability is outside the model"
@@ -330,30 +336,35 @@ def load_device(path: str | Path) -> Device:
 
     qubits: dict[str, TransmonSpec] = {}
     for name, entry in raw["qubits"].items():
-        if "ej1_ghz" in entry:
-            qubits[name] = TransmonSpec(
-                ej1_ghz=float(entry["ej1_ghz"]),
-                ej2_ghz=float(entry["ej2_ghz"]),
-                ec_ghz=float(entry["ec_ghz"]),
-                label=name,
-            )
-        else:
-            try:
+        try:
+            if "ej1_ghz" in entry:
+                qubits[name] = TransmonSpec(
+                    ej1_ghz=float(entry["ej1_ghz"]),
+                    ej2_ghz=float(entry["ej2_ghz"]),
+                    ec_ghz=float(entry["ec_ghz"]),
+                    label=name,
+                )
+            else:
                 qubits[name] = fit_spec(
                     float(entry["f01_max_ghz"]),
                     float(entry["f01_min_ghz"]),
                     float(entry["anharm_ghz"]),
                     label=name,
                 )
-            except KeyError as exc:
-                raise ValidationError(
-                    f"qubit {name!r}: need f01_max_ghz/f01_min_ghz/anharm_ghz "
-                    "or ej1_ghz/ej2_ghz/ec_ghz"
-                ) from exc
+        except KeyError as exc:
+            raise ValidationError(
+                f"qubit {name!r}: missing key {exc.args[0]!r}; need "
+                "f01_max_ghz/f01_min_ghz/anharm_ghz or ej1_ghz/ej2_ghz/ec_ghz"
+            ) from exc
 
     pairs = []
-    for entry in raw.get("pairs", []):
-        a, b = entry["modulated"], entry["neighbor"]
+    for i, entry in enumerate(raw.get("pairs", [])):
+        try:
+            a, b, coupling = entry["modulated"], entry["neighbor"], entry["coupling_mhz"]
+        except KeyError as exc:
+            raise ValidationError(
+                f"pair entry {i}: missing key {exc.args[0]!r}"
+            ) from exc
         for q in (a, b):
             if q not in qubits:
                 raise ValidationError(f"pair references unknown qubit {q!r}")
@@ -361,7 +372,7 @@ def load_device(path: str | Path) -> Device:
             DevicePair(
                 modulated=a,
                 neighbor=b,
-                coupling_mhz=float(entry["coupling_mhz"]),
+                coupling_mhz=float(coupling),
                 tls_ghz=tuple(float(t) for t in entry.get("tls_ghz", ())),
             )
         )

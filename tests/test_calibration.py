@@ -17,6 +17,7 @@ from fluxmod import (
     calibrate_theta0,
     calibrate_transfer_function,
     distort_pulse,
+    fit_spec,
     fourier_coefficients,
     load_scenario,
     reference_transfer_function,
@@ -166,6 +167,32 @@ class TestClosedLoop:
         for f, t in zip(out.transfer.freqs_mhz, out.transfer.transmission):
             assert t == pytest.approx(float(hw.transfer.at(f)), rel=5e-3)
         assert abs(out.residual_khz) < 10.0
+
+
+    @pytest.mark.parametrize(
+        "band, fm_mhz, amp, alpha_turn, theta_turn, theta0",
+        [
+            ((5.9251, 2.283, -0.189), 63.7592, 0.3596, 0.133, -0.0334, -0.4217),
+            ((5.5132, 2.5799, -0.199), 62.4609, 0.3145, 0.1292, 0.0984, -0.1873),
+            ((5.0071, 1.9163, -0.1944), 93.4865, 0.3682, 0.1186, -0.0378, 0.3347),
+        ],
+    )
+    def test_harmonic_sign_taken_at_the_delivered_pulse(
+        self, band, fm_mhz, amp, alpha_turn, theta_turn, theta0
+    ):
+        # the line attenuation flips the sign of the first theta-harmonic
+        # between the programmed and the delivered pulse of these wide-range
+        # qubits; reading the sign off the programmed pulse lands the offset
+        # on the wrong branch and misses by MHz
+        hw = VirtualHardware(spec=fit_spec(*band), theta0_rad=theta0)
+        desired = BichromaticPulse(
+            fm_mhz=fm_mhz, phi_ac_phi0=amp, alpha_rad=alpha_turn * 2 * math.pi,
+            theta_rad=theta_turn * 2 * math.pi, p=3,
+        )
+        base = np.linspace(0.5 * fm_mhz, 4.5 * fm_mhz, 12)
+        probes = tuple(sorted(set(base) | {fm_mhz, 3 * fm_mhz}))
+        out = calibrate_and_verify(hw, desired, probes)
+        assert abs(out.residual_khz) < 2.0
 
 
 class TestScenarioIO:

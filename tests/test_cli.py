@@ -221,6 +221,54 @@ class TestCalibrate:
         assert payload["theta0_rad"] == pytest.approx(-0.1, abs=1e-6)
 
 
+def _device_with(qubit_q1=None, pair=None):
+    q1 = {"f01_max_ghz": Q1_DATA[0], "f01_min_ghz": Q1_DATA[1], "anharm_ghz": Q1_DATA[2]}
+    q2 = {"f01_max_ghz": Q2_DATA[0], "f01_min_ghz": Q2_DATA[1], "anharm_ghz": Q2_DATA[2]}
+    return {
+        "qubits": {"q1": qubit_q1 or q1, "q2": q2},
+        "pairs": [pair or {"modulated": "q1", "neighbor": "q2", "coupling_mhz": 4.0}],
+    }
+
+
+@pytest.mark.parametrize(
+    "device, args, named",
+    [
+        (None, ("plan", "--pair", "q1:q2", "--k=-2", "--alpha", "nan"), "alpha"),
+        (None, ("calibrate", "--qubit", "q1", "--fm-mhz", "nan"), "fm_mhz"),
+        (
+            _device_with(pair={"modulated": "q1", "neighbor": "q2"}),
+            ("plan", "--pair", "q1:q2", "--k=-2"),
+            "coupling_mhz",
+        ),
+        (
+            _device_with(qubit_q1={"ej1_ghz": 17.0, "ec_ghz": 0.19}),
+            ("sweep", "--qubit", "q1"),
+            "ej2_ghz",
+        ),
+        (
+            _device_with(
+                qubit_q1={"f01_max_ghz": "nan", "f01_min_ghz": 4.4, "anharm_ghz": -0.2}
+            ),
+            ("sweep", "--qubit", "q1"),
+            "f01_max_ghz",
+        ),
+    ],
+    ids=["alpha-nan", "fm-nan", "pair-no-coupling", "qubit-no-ej2", "f01-max-nan"],
+)
+def test_bad_input_exits_2_naming_it(runner, device_file, tmp_path, device, args, named):
+    spec = device_file
+    if device is not None:
+        spec = tmp_path / "device.json"
+        spec.write_text(json.dumps(device))
+    res = runner.invoke(
+        main, ["--spec", str(spec), "--out", str(tmp_path / "out"), *args]
+    )
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert named in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0

@@ -13,10 +13,12 @@ from fluxmod import (
     PairSpec,
     ValidationError,
     WrongSideband,
+    avg_frequency_slopes,
     check_collisions,
     chevron_simulate,
     effective_coupling,
     enumerate_resonances,
+    fourier_coefficients,
     gate_duration,
     operating_point,
     optimize_weight,
@@ -63,13 +65,11 @@ class TestResonanceFm:
         fm = resonance_fm(pair12, mono_point, GateType.CZ02, -2)
         f01n, _ = transition_frequencies(pair12.neighbor, 0.0)
         # the 02 crossing sits on the f12 ladder, below the f01 one
-        from fluxmod.modulation import _fbar_quad, _series_array
-
         fbar12 = float(
-            _fbar_quad(
-                _series_array(q1, "f12"), 0.0, 1, 0.0, 0.0,
-                np.array([mono_point.pulse.phi_ac_phi0]),
-            )[0]
+            avg_frequency_slopes(
+                fourier_coefficients(q1, channel="f12"), 0.0, 1, 0.0, 0.0,
+                [mono_point.pulse.phi_ac_phi0],
+            )[0][0]
         )
         assert fbar12 - 2 * fm * 1e-3 == pytest.approx(f01n, abs=1e-12)
         assert fm != pytest.approx(
@@ -176,17 +176,15 @@ class TestCollisions:
 
     def test_tls_hit(self, q1, q2, mono_point):
         # park a defect exactly on the f12-ladder j=-6 sideband
-        from fluxmod.modulation import _fbar_quad, _series_array
-
         plan0 = plan_gate(
             PairSpec(modulated=q1, neighbor=q2, coupling_mhz=4.0),
             mono_point, GateType.CZ02, -2,
         )
         fbar12 = float(
-            _fbar_quad(
-                _series_array(q1, "f12"), 0.0, 1, 0.0, 0.0,
-                np.array([mono_point.pulse.phi_ac_phi0]),
-            )[0]
+            avg_frequency_slopes(
+                fourier_coefficients(q1, channel="f12"), 0.0, 1, 0.0, 0.0,
+                [mono_point.pulse.phi_ac_phi0],
+            )[0][0]
         )
         tls = fbar12 - 6 * plan0.fm_mhz * 1e-3
         pair = PairSpec(

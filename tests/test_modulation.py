@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fluxmod import (
     BichromaticPulse,
@@ -11,6 +14,7 @@ from fluxmod import (
     SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0,
     ValidationError,
     avg_frequency_bessel,
+    avg_frequency_slopes,
     avg_frequency_timedomain,
     dephasing_proxy,
     fourier_coefficients,
@@ -82,6 +86,60 @@ class TestAverageFrequency:
         ) == pytest.approx(f0, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def study_qubits(q1, q2, q3, q4):
+    return {"q1": q1, "q2": q2, "q3": q3, "q4": q4}
+
+
+def _stencil(values, h):
+    return (8.0 * (values[2] - values[1]) - (values[3] - values[0])) / (12.0 * h)
+
+
+class TestSlopesKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["q1", "q2", "q3", "q4"]),
+        p=st.sampled_from([1, 3, 5]),
+        alpha=st.floats(0.0, math.pi / 2),
+        theta=st.floats(-2 * math.pi, 2 * math.pi),
+        phi_dc=st.floats(-0.2, 0.2),
+        amp=st.floats(0.05, 0.9),
+    )
+    def test_matches_bessel_and_own_stencil(
+        self, study_qubits, name, p, alpha, theta, phi_dc, amp
+    ):
+        series = fourier_coefficients(study_qubits[name])
+        pulse = BichromaticPulse(
+            fm_mhz=100.0, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta,
+            p=p, phi_dc_phi0=phi_dc,
+        )
+        try:
+            bessel = avg_frequency_bessel(series, pulse, m_max=64)
+        except CutoffTooSmall:
+            assume(False)
+        [fbar], [dac], [ddc] = avg_frequency_slopes(
+            series, phi_dc, p, alpha, theta, [amp]
+        )
+        assert fbar == pytest.approx(bessel, abs=1e-10)
+
+        h = 1e-4
+        steps = h * np.array([-2.0, -1.0, 1.0, 2.0])
+        f_ac = avg_frequency_slopes(series, phi_dc, p, alpha, theta, amp + steps)[0]
+        f_dc = [
+            avg_frequency_slopes(series, phi_dc + s, p, alpha, theta, [amp])[0][0]
+            for s in steps
+        ]
+        assert dac == pytest.approx(_stencil(f_ac, h), abs=1e-8)
+        assert ddc == pytest.approx(_stencil(f_dc, h), abs=1e-8)
+
+    def test_batch_shapes(self, q1):
+        series = fourier_coefficients(q1)
+        out = avg_frequency_slopes(series, 0.0, 3, 0.5, 0.3, np.linspace(0.1, 0.8, 5))
+        assert [a.shape for a in out] == [(5,)] * 3
+        [single], _, _ = avg_frequency_slopes(series, 0.0, 3, 0.5, 0.3, [0.8])
+        assert single == pytest.approx(out[0][-1], abs=1e-12)
+
+
 class TestSensitivities:
     def test_dc_protection_at_zero_bias(self, q1, bichro_pulse):
         s = sensitivities(q1, bichro_pulse)
@@ -140,6 +198,38 @@ class TestSweetSpotSolve:
         assert len(roots) == 2
         assert roots[0][0] == pytest.approx(0.45658, abs=5e-4)
         assert roots[0][0] < roots[1][0]
+
+    @pytest.mark.parametrize(
+        "name, p, alpha, theta",
+        [
+            ("q1", 1, 0.0, 0.0),
+            ("q1", 3, 0.085 * 2 * math.pi, -0.06 * 2 * math.pi),
+            ("q2", 5, 1.0, -2.0),
+            ("q4", 3, 0.2, 1.0),
+        ],
+    )
+    def test_one_root_per_bessel_sign_change(self, study_qubits, name, p, alpha, theta):
+        # every sign change of the closed-form slope on a dense grid is
+        # found, once, and each returned root brackets a true sign change
+        spec = study_qubits[name]
+        series = fourier_coefficients(spec)
+        base = BichromaticPulse(
+            fm_mhz=100.0, phi_ac_phi0=0.1, alpha_rad=alpha, theta_rad=theta, p=p
+        )
+
+        def fbar(a):
+            return avg_frequency_bessel(series, replace(base, phi_ac_phi0=a), m_max=64)
+
+        grid = np.linspace(0.05, 0.9, 341)
+        rises = np.diff([fbar(a) for a in grid])
+        n_changes = int(np.sum(rises[:-1] * rises[1:] < 0.0))
+        xtol, h = 1e-6, 2.5e-7
+        roots = sweet_spot_solve(spec, 0.0, p, alpha, theta, xtol=xtol)
+        assert len(roots) == n_changes
+        for amp, _ in roots:
+            left = fbar(amp - xtol + h) - fbar(amp - xtol - h)
+            right = fbar(amp + xtol + h) - fbar(amp + xtol - h)
+            assert left * right < 0.0
 
     def test_no_root_in_narrow_window(self, q1):
         with pytest.raises(NoRoot):

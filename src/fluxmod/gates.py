@@ -85,6 +85,11 @@ class GateType(enum.Enum):
         return "f12" if self is GateType.CZ20 else "f01"
 
 
+# sideband orders and gate families scanned for competing resonances
+_K_SET = tuple(range(-10, 11))
+_GATE_TYPES = (GateType.ISWAP, GateType.CZ02, GateType.CZ20)
+
+
 @dataclass(frozen=True)
 class PairSpec:
     """A modulated qubit, its static neighbor, and their coupling."""
@@ -127,14 +132,30 @@ def _ladder_fbar_ghz(pair: PairSpec, point: OperatingPoint, channel: str) -> flo
     return float(fbar[0])
 
 
-def _fm_from_ladder(pair: PairSpec, fbar: float, gate_type: GateType, k: int) -> float:
-    fm_ghz = (_target_freq_ghz(pair, gate_type) - fbar) / k
-    if fm_ghz <= 0.0:
-        raise WrongSideband(
-            f"sideband k={k} cannot reach the {gate_type.value} target from "
-            f"fbar={fbar:.4f} GHz"
-        )
-    return fm_ghz * 1e3
+def _reachable_fms(
+    pair: PairSpec,
+    fbars: dict[str, float],
+    k_set: tuple[int, ...],
+    gate_types: tuple[GateType, ...],
+    max_fm_mhz: float | None = None,
+) -> dict[tuple[GateType, int], float]:
+    """Modulation frequency (MHz) of every reachable (gate type, k) resonance,
+    given the average frequency of each ladder the gate types use."""
+    out: dict[tuple[GateType, int], float] = {}
+    for gt in gate_types:
+        target = _target_freq_ghz(pair, gt)
+        fbar = fbars[gt.ladder_channel]
+        for k in k_set:
+            if k == 0:
+                continue
+            fm_ghz = (target - fbar) / k
+            if fm_ghz <= 0.0:
+                continue
+            fm = fm_ghz * 1e3
+            if max_fm_mhz is not None and fm > max_fm_mhz:
+                continue
+            out[(gt, k)] = fm
+    return out
 
 
 def resonance_fm(
@@ -153,15 +174,22 @@ def resonance_fm(
     """
     if k == 0:
         raise ValidationError("sideband order k must be nonzero")
-    fbar = _ladder_fbar_ghz(pair, point, gate_type.ladder_channel)
-    return _fm_from_ladder(pair, fbar, gate_type, k)
+    channel = gate_type.ladder_channel
+    fbar = _ladder_fbar_ghz(pair, point, channel)
+    fm = _reachable_fms(pair, {channel: fbar}, (k,), (gate_type,)).get((gate_type, k))
+    if fm is None:
+        raise WrongSideband(
+            f"sideband k={k} cannot reach the {gate_type.value} target from "
+            f"fbar={fbar:.4f} GHz"
+        )
+    return fm
 
 
 def enumerate_resonances(
     pair: PairSpec,
     point: OperatingPoint,
-    k_set: tuple[int, ...] = tuple(range(-10, 11)),
-    gate_types: tuple[GateType, ...] = (GateType.ISWAP, GateType.CZ02, GateType.CZ20),
+    k_set: tuple[int, ...] = _K_SET,
+    gate_types: tuple[GateType, ...] = _GATE_TYPES,
     max_fm_mhz: float | None = None,
 ) -> dict[tuple[GateType, int], float]:
     """All reachable gate resonances from one operating point.
@@ -175,19 +203,7 @@ def enumerate_resonances(
         ch: _ladder_fbar_ghz(pair, point, ch)
         for ch in {gt.ladder_channel for gt in gate_types}
     }
-    out: dict[tuple[GateType, int], float] = {}
-    for gt in gate_types:
-        for k in k_set:
-            if k == 0:
-                continue
-            try:
-                fm = _fm_from_ladder(pair, fbars[gt.ladder_channel], gt, k)
-            except WrongSideband:
-                continue
-            if max_fm_mhz is not None and fm > max_fm_mhz:
-                continue
-            out[(gt, k)] = fm
-    return out
+    return _reachable_fms(pair, fbars, k_set, gate_types, max_fm_mhz)
 
 
 @dataclass(frozen=True)
@@ -307,11 +323,16 @@ def check_collisions(
     modulated-qubit ladders is compared against the neighbor transitions
     and any listed TLS frequencies.  Second, every other reachable gate
     resonance is compared against the planned modulation frequency, since
-    a shared drive frequency activates both processes at once.  Sidebands
-    whose weight magnitude is below ``weight_floor`` are ignored; reports
-    are deduplicated per offender, keeping the smallest gap, and sorted
-    by gap.
+    a shared drive frequency activates both processes at once; these
+    resonances come from the ladder averages f_bar that the two sideband
+    spectra already carry.  Sidebands whose weight magnitude is below
+    ``weight_floor`` are ignored; reports are deduplicated per offender,
+    keeping the smallest gap, and sorted by gap.
     """
+    require_finite(
+        bandwidth_mhz=bandwidth_mhz,
+        **{f"tls_ghz[{i}]": f for i, f in enumerate(tls_ghz)},
+    )
     if bandwidth_mhz <= 0.0:
         raise ValidationError("bandwidth must be positive")
     fm_ghz = plan.fm_mhz * 1e-3
@@ -358,14 +379,8 @@ def check_collisions(
                         ),
                     )
 
-    point = OperatingPoint(
-        pulse=plan.pulse,
-        f_bar_ghz=spectra["f01"].f_bar_ghz,
-        dfbar_dac_ghz_per_phi0=0.0,
-        dfbar_ddc_ghz_per_phi0=0.0,
-        is_sweet_spot=True,
-    )
-    for (gt, kk), fm_alt in enumerate_resonances(pair, point).items():
+    fbars = {ch: spectra[ch].f_bar_ghz for ch in spectra}
+    for (gt, kk), fm_alt in _reachable_fms(pair, fbars, _K_SET, _GATE_TYPES).items():
         if gt is plan.gate_type and kk == plan.k:
             continue
         if abs(spectra[gt.ladder_channel].weight(kk)) < weight_floor:
@@ -522,6 +537,11 @@ def optimize_weight(
     if it stays feasible.  Raises NoFeasiblePoint when no node survives
     the frequency cap and collision constraints.
     """
+    require_finite(
+        max_fm_mhz=max_fm_mhz,
+        bandwidth_mhz=bandwidth_mhz,
+        **{f"tls_ghz[{i}]": f for i, f in enumerate(tls_ghz)},
+    )
     if spec != pair.modulated:
         raise ValidationError("spec must be the pair's modulated qubit")
     n_alpha, n_theta = grid_shape

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -397,6 +398,11 @@ def sweet_spot_atlas(
     thetas = [float(t) for t in theta_grid]
     if not alphas or not thetas:
         raise ValidationError("grids must be non-empty")
+    require_finite(
+        phi_dc=phi_dc,
+        **{f"alpha_grid[{i}]": a for i, a in enumerate(alphas)},
+        **{f"theta_grid[{i}]": t for i, t in enumerate(thetas)},
+    )
     series = fourier_coefficients(spec)
 
     if jobs > 1:
@@ -477,6 +483,32 @@ class SidebandSpectrum:
                 )
 
 
+@lru_cache(maxsize=32)
+def _instantaneous_frequency(
+    spec: TransmonSpec,
+    channel: str,
+    p: int,
+    alpha: float,
+    theta: float,
+    phi_ac: float,
+    phi_dc: float,
+    nodes: int,
+) -> np.ndarray:
+    """Transition frequency (GHz) at ``nodes`` uniform times over one period.
+
+    It depends on the pulse shape but not on the modulation frequency, so
+    one profile serves every fm; the array is shared and read-only.
+    """
+    drive = _drive(p, alpha, theta, nodes)
+    finst, _ = _node_series(
+        fourier_coefficients(spec, channel=channel).as_array(),
+        2.0 * np.pi * (phi_dc + phi_ac * drive),
+        slope=False,
+    )
+    finst.flags.writeable = False
+    return finst
+
+
 def sideband_weights(
     spec: TransmonSpec,
     pulse: BichromaticPulse,
@@ -492,7 +524,10 @@ def sideband_weights(
     phase, detrends by the average, and reads the weights off a single
     FFT over one fundamental period.  The weights over all orders satisfy
     a Parseval identity (total power one); for the quoted finite range
-    the deficit is the power leaked beyond it.
+    the deficit is the power leaked beyond it.  The instantaneous
+    frequency does not depend on the modulation frequency, so it is
+    computed once per (qubit, channel, pulse shape) and reused across
+    modulation frequencies.
 
     ``coupling`` optionally supplies a flux-dependent coupling curve; it
     is normalized to unit root-mean-square over the period so the
@@ -505,11 +540,9 @@ def sideband_weights(
         raise ValidationError("k_range must be (low, high) with low <= high")
     if khi - klo + 1 > nodes // 4:
         raise ValidationError("k_range too wide for the node count")
-    drive = _drive(pulse.p, pulse.alpha_rad, pulse.theta_rad, nodes)
-    finst, _ = _node_series(
-        fourier_coefficients(spec, channel=channel).as_array(),
-        2.0 * np.pi * (pulse.phi_dc_phi0 + pulse.phi_ac_phi0 * drive),
-        slope=False,
+    finst = _instantaneous_frequency(
+        spec, channel, pulse.p, pulse.alpha_rad, pulse.theta_rad,
+        pulse.phi_ac_phi0, pulse.phi_dc_phi0, nodes,
     )
     cycles = finst / pulse.fm_ghz
     # trapezoid steps around the full period, including the wrap segment,

@@ -252,8 +252,25 @@ def _device_with(qubit_q1=None, pair=None):
             ("sweep", "--qubit", "q1"),
             "f01_max_ghz",
         ),
+        (
+            None,
+            ("plan", "--pair", "q1:q2", "--k=-2", "--p", "1", "--bandwidth-mhz", "nan"),
+            "bandwidth_mhz",
+        ),
+        (None, ("plan", "--pair", "q1:q2", "--k=-2", "--p", "1", "--tls", "nan"), "tls_ghz"),
+        (
+            None,
+            ("plan", "--pair", "q1:q2", "--k=-8", "--optimize", "--grid", "4",
+             "--max-fm-mhz", "nan"),
+            "max_fm_mhz",
+        ),
+        (None, ("atlas", "--qubit", "q1", "--phi-dc", "nan"), "phi_dc"),
+        (None, ("atlas", "--qubit", "q1", "--alpha-min", "nan"), "alpha"),
     ],
-    ids=["alpha-nan", "fm-nan", "pair-no-coupling", "qubit-no-ej2", "f01-max-nan"],
+    ids=[
+        "alpha-nan", "fm-nan", "pair-no-coupling", "qubit-no-ej2", "f01-max-nan",
+        "bandwidth-nan", "tls-nan", "max-fm-nan", "atlas-phi-dc-nan", "atlas-alpha-nan",
+    ],
 )
 def test_bad_input_exits_2_naming_it(runner, device_file, tmp_path, device, args, named):
     spec = device_file

@@ -204,6 +204,17 @@ class TestCollisions:
         keys = [(c.kind, c.gate_type, c.k, c.description) for c in plan.collisions]
         assert len(keys) == len(set(keys))
 
+    @pytest.mark.parametrize("gate, k", [(GateType.CZ02, -2), (GateType.ISWAP, -4)])
+    def test_gate_resonances_match_enumeration(self, pair12, mono_point, gate, k):
+        plan = plan_gate(pair12, mono_point, gate, k)
+        expected = enumerate_resonances(pair12, mono_point)
+        hits = [c for c in plan.collisions if c.kind == "gate_resonance"]
+        assert hits
+        for c in hits:
+            assert c.freq_mhz == pytest.approx(
+                expected[(GateType(c.gate_type), c.k)], abs=1e-8
+            )
+
     def test_bandwidth_validation(self, pair12, mono_point):
         plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
         with pytest.raises(ValidationError):

@@ -380,6 +380,20 @@ class TestSidebandWeights:
             spec.f_bar_ghz - 2 * mono_pulse.fm_ghz, abs=1e-12
         )
 
+    def test_reuse_across_fm_is_exact(self, q1):
+        from dataclasses import replace
+
+        pulse = BichromaticPulse(
+            fm_mhz=120.0, phi_ac_phi0=0.37, alpha_rad=0.29, theta_rad=0.41, p=5,
+            phi_dc_phi0=0.03,
+        )
+        first = sideband_weights(q1, pulse, (-7, 7))
+        other = sideband_weights(q1, replace(pulse, fm_mhz=80.0), (-7, 7))
+        again = sideband_weights(q1, pulse, (-7, 7))
+        assert other.weights != first.weights
+        assert again.weights == first.weights
+        assert again.f_bar_ghz == first.f_bar_ghz
+
     def test_validation(self, q1, mono_pulse):
         with pytest.raises(ValidationError):
             sideband_weights(q1, mono_pulse, nodes=1024)

@@ -380,7 +380,8 @@ def check_collisions(
                     )
 
     fbars = {ch: spectra[ch].f_bar_ghz for ch in spectra}
-    for (gt, kk), fm_alt in _reachable_fms(pair, fbars, _K_SET, _GATE_TYPES).items():
+    k_set = tuple(range(-k_window, k_window + 1))
+    for (gt, kk), fm_alt in _reachable_fms(pair, fbars, k_set, _GATE_TYPES).items():
         if gt is plan.gate_type and kk == plan.k:
             continue
         if abs(spectra[gt.ladder_channel].weight(kk)) < weight_floor:

@@ -134,9 +134,14 @@ def transition_frequencies(
     """First two transition frequencies (f01, f12) at the given dc flux.
 
     Diagonalizes the charge-basis Hamiltonian with charge states
-    -n_charge..n_charge.  The flux argument may be an array; the
-    diagonalization is batched over it.  f12 - f01 is negative for any
-    transmon-regime spec.
+    -n_charge..n_charge.  At zero offset charge it commutes with the charge
+    parity n -> -n, so it splits into an even block on |0> and
+    (|n> + |-n>)/sqrt(2), n = 1..n_charge (its first hop scaled by sqrt(2)),
+    and an odd block on (|n> - |-n>)/sqrt(2).  Each block is diagonalized
+    on its own; the three lowest levels of the full matrix are the three
+    lowest of the six that the blocks' lowest three give, whatever their
+    parity order.  The flux argument may be an array; the diagonalization
+    is batched over it.  f12 - f01 is negative for any transmon-regime spec.
     """
     if n_charge < _required_cutoff(spec):
         raise TruncationTooCoarse(
@@ -145,19 +150,26 @@ def transition_frequencies(
         )
     scalar = np.isscalar(flux_phi0)
     flux = np.atleast_1d(np.asarray(flux_phi0, dtype=float))
-    ej = np.atleast_1d(ej_eff(spec, flux))
+    hop = -0.5 * np.atleast_1d(ej_eff(spec, flux))[:, None]
 
-    dim = 2 * n_charge + 1
-    n = np.arange(-n_charge, n_charge + 1)
-    h = np.zeros((flux.size, dim, dim))
-    h[:, np.arange(dim), np.arange(dim)] = 4.0 * spec.ec_ghz * n * n
-    idx = np.arange(dim - 1)
-    h[:, idx, idx + 1] = -0.5 * ej[:, None]
-    h[:, idx + 1, idx] = -0.5 * ej[:, None]
+    m = np.arange(n_charge + 1)
+    charging = 4.0 * spec.ec_ghz * m * m
+    blocks = []
+    for diagonal in (charging, charging[1:]):  # even block, then odd block
+        dim = diagonal.size
+        h = np.zeros((flux.size, dim, dim))
+        h[:, np.arange(dim), np.arange(dim)] = diagonal
+        idx = np.arange(dim - 1)
+        h[:, idx, idx + 1] = hop
+        h[:, idx + 1, idx] = hop
+        blocks.append(h)
+    # |0> reaches (|1> + |-1>)/sqrt(2) through both hops: sqrt(2) times one
+    blocks[0][:, [0, 1], [1, 0]] *= math.sqrt(2.0)
     try:
-        levels = np.linalg.eigvalsh(h)
+        lowest = [np.linalg.eigvalsh(h)[:, :3] for h in blocks]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise DiagonalizationFailure(str(exc)) from exc
+    levels = np.sort(np.concatenate(lowest, axis=1), axis=1)
 
     f01 = levels[:, 1] - levels[:, 0]
     f12 = levels[:, 2] - levels[:, 1]
@@ -261,16 +273,21 @@ def fit_spec(
 
 @lru_cache(maxsize=128)
 def _cached_series(
-    spec: TransmonSpec, n_terms: int, channel: str, samples: int
-) -> FourierSeries:
-    flux = np.arange(samples) / samples
-    f01, f12 = transition_frequencies(spec, flux)
-    f = {"f01": f01, "f12": f12}[channel]
-    phi = 2.0 * np.pi * flux
-    coeffs = [float(np.mean(f))]
-    for n in range(1, n_terms + 1):
-        coeffs.append(float(2.0 * np.mean(f * np.cos(n * phi))))
-    return FourierSeries(coefficients=tuple(coeffs), channel=channel)
+    ej1_ghz: float, ej2_ghz: float, ec_ghz: float, n_terms: int, samples: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # the curve is even and periodic, so the half period k = 0..samples//2
+    # determines every sample: f(k / samples) = f(min(k, samples - k) / samples)
+    spec = TransmonSpec(ej1_ghz=ej1_ghz, ej2_ghz=ej2_ghz, ec_ghz=ec_ghz)
+    k = np.arange(samples)
+    half = transition_frequencies(spec, np.arange(samples // 2 + 1) / samples)
+    phi = 2.0 * np.pi * k / samples
+    out = []
+    for f in (curve[np.minimum(k, samples - k)] for curve in half):
+        coeffs = [float(np.mean(f))]
+        for n in range(1, n_terms + 1):
+            coeffs.append(float(2.0 * np.mean(f * np.cos(n * phi))))
+        out.append(tuple(coeffs))
+    return out[0], out[1]
 
 
 def fourier_coefficients(
@@ -286,7 +303,8 @@ def fourier_coefficients(
     uniform trapezoid rule is spectrally accurate; 4096 samples push the
     projection error to machine noise.  Coefficients decay geometrically,
     about a factor 7 per harmonic for typical asymmetries, so 24 terms
-    reach the 1e-15 GHz floor.  Results are cached per (spec, channel).
+    reach the 1e-15 GHz floor.  Results come from one half-period
+    diagonalization per junction-energy triple, shared by both channels.
     """
     if n_terms < 4:
         raise ValidationError("need at least 4 harmonics to represent the curve")
@@ -294,7 +312,8 @@ def fourier_coefficients(
         raise ValidationError(f"unknown channel {channel!r}; use 'f01' or 'f12'")
     if samples < 16 * n_terms:
         raise ValidationError("sampling too coarse for the requested harmonic count")
-    return _cached_series(spec, n_terms, channel, samples)
+    series = _cached_series(spec.ej1_ghz, spec.ej2_ghz, spec.ec_ghz, n_terms, samples)
+    return FourierSeries(coefficients=series[("f01", "f12").index(channel)], channel=channel)
 
 
 @dataclass(frozen=True)
@@ -321,6 +340,12 @@ class Device:
         raise ValidationError(f"device file lists no pair {modulated}:{neighbor}")
 
 
+def _number(where: str, key: str, value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_device(path: str | Path) -> Device:
     """Load a device description and fit a spec per qubit.
 
@@ -330,50 +355,69 @@ def load_device(path: str | Path) -> Device:
     coupling in MHz, and optionally a list of parasitic TLS frequencies.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "qubits" not in raw or not isinstance(raw["qubits"], dict):
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"device file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("qubits"), dict):
         raise ValidationError("device file needs a 'qubits' mapping")
+    if not isinstance(raw.get("pairs", []), list):
+        raise ValidationError("device file 'pairs' must be a list of pair entries")
 
     qubits: dict[str, TransmonSpec] = {}
     for name, entry in raw["qubits"].items():
+        where = f"qubit {name!r}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: entry must be a mapping, got {entry!r}")
         try:
             if "ej1_ghz" in entry:
                 qubits[name] = TransmonSpec(
-                    ej1_ghz=float(entry["ej1_ghz"]),
-                    ej2_ghz=float(entry["ej2_ghz"]),
-                    ec_ghz=float(entry["ec_ghz"]),
+                    ej1_ghz=_number(where, "ej1_ghz", entry["ej1_ghz"]),
+                    ej2_ghz=_number(where, "ej2_ghz", entry["ej2_ghz"]),
+                    ec_ghz=_number(where, "ec_ghz", entry["ec_ghz"]),
                     label=name,
                 )
             else:
                 qubits[name] = fit_spec(
-                    float(entry["f01_max_ghz"]),
-                    float(entry["f01_min_ghz"]),
-                    float(entry["anharm_ghz"]),
+                    _number(where, "f01_max_ghz", entry["f01_max_ghz"]),
+                    _number(where, "f01_min_ghz", entry["f01_min_ghz"]),
+                    _number(where, "anharm_ghz", entry["anharm_ghz"]),
                     label=name,
                 )
         except KeyError as exc:
             raise ValidationError(
-                f"qubit {name!r}: missing key {exc.args[0]!r}; need "
+                f"{where}: missing key {exc.args[0]!r}; need "
                 "f01_max_ghz/f01_min_ghz/anharm_ghz or ej1_ghz/ej2_ghz/ec_ghz"
             ) from exc
 
     pairs = []
     for i, entry in enumerate(raw.get("pairs", [])):
+        where = f"pair entry {i}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: entry must be a mapping, got {entry!r}")
         try:
-            a, b, coupling = entry["modulated"], entry["neighbor"], entry["coupling_mhz"]
+            a, b = entry["modulated"], entry["neighbor"]
+            coupling = _number(where, "coupling_mhz", entry["coupling_mhz"])
         except KeyError as exc:
-            raise ValidationError(
-                f"pair entry {i}: missing key {exc.args[0]!r}"
-            ) from exc
+            raise ValidationError(f"{where}: missing key {exc.args[0]!r}") from exc
         for q in (a, b):
-            if q not in qubits:
-                raise ValidationError(f"pair references unknown qubit {q!r}")
+            if not isinstance(q, str) or q not in qubits:
+                raise ValidationError(f"{where}: pair references unknown qubit {q!r}")
+        if a == b:
+            raise ValidationError(f"{where}: qubit {a!r} cannot pair with itself")
+        if any(p.modulated == a and p.neighbor == b for p in pairs):
+            raise ValidationError(f"{where}: pair {a}:{b} is listed twice")
+        tls = entry.get("tls_ghz", [])
+        if not isinstance(tls, list):
+            raise ValidationError(f"{where}: tls_ghz must be a list, got {tls!r}")
         pairs.append(
             DevicePair(
                 modulated=a,
                 neighbor=b,
-                coupling_mhz=float(coupling),
-                tls_ghz=tuple(float(t) for t in entry.get("tls_ghz", ())),
+                coupling_mhz=coupling,
+                tls_ghz=tuple(
+                    _number(where, f"tls_ghz[{j}]", t) for j, t in enumerate(tls)
+                ),
             )
         )
     return Device(qubits=qubits, pairs=tuple(pairs))

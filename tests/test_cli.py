@@ -266,17 +266,49 @@ def _device_with(qubit_q1=None, pair=None):
         ),
         (None, ("atlas", "--qubit", "q1", "--phi-dc", "nan"), "phi_dc"),
         (None, ("atlas", "--qubit", "q1", "--alpha-min", "nan"), "alpha"),
+        ({**_device_with(), "qubits": {"q1": 5}}, ("sweep", "--qubit", "q1"), "'q1'"),
+        (
+            _device_with(
+                qubit_q1={"f01_max_ghz": "abc", "f01_min_ghz": 4.4, "anharm_ghz": -0.2}
+            ),
+            ("sweep", "--qubit", "q1"),
+            "f01_max_ghz",
+        ),
+        (
+            {**_device_with(), "pairs": {"q1:q2": {"coupling_mhz": 4.0}}},
+            ("sweep", "--qubit", "q1"),
+            "pairs",
+        ),
+        ('{"qubits": {"q1": ', ("sweep", "--qubit", "q1"), "JSON"),
+        (
+            _device_with(pair={"modulated": "q1", "neighbor": "q1", "coupling_mhz": 4.0}),
+            ("plan", "--pair", "q1:q1", "--k=-2"),
+            "itself",
+        ),
+        (
+            {**_device_with(), "pairs": 2 * _device_with()["pairs"]},
+            ("sweep", "--qubit", "q1"),
+            "listed twice",
+        ),
+        (
+            _device_with(pair={"modulated": "q1", "neighbor": "q2", "coupling_mhz": 4.0,
+                               "tls_ghz": "5"}),
+            ("sweep", "--qubit", "q1"),
+            "tls_ghz",
+        ),
     ],
     ids=[
         "alpha-nan", "fm-nan", "pair-no-coupling", "qubit-no-ej2", "f01-max-nan",
         "bandwidth-nan", "tls-nan", "max-fm-nan", "atlas-phi-dc-nan", "atlas-alpha-nan",
+        "qubit-not-mapping", "value-not-number", "pairs-not-list", "invalid-json",
+        "self-pair", "duplicate-pair", "tls-not-list",
     ],
 )
 def test_bad_input_exits_2_naming_it(runner, device_file, tmp_path, device, args, named):
     spec = device_file
     if device is not None:
         spec = tmp_path / "device.json"
-        spec.write_text(json.dumps(device))
+        spec.write_text(device if isinstance(device, str) else json.dumps(device))
     res = runner.invoke(
         main, ["--spec", str(spec), "--out", str(tmp_path / "out"), *args]
     )

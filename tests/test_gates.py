@@ -215,6 +215,24 @@ class TestCollisions:
                 expected[(GateType(c.gate_type), c.k)], abs=1e-8
             )
 
+    def test_narrow_k_window_scans_only_its_sidebands(self, pair12, mono_point):
+        plan = plan_gate(pair12, mono_point, GateType.CZ02, -2, k_window=5)
+        hits = [c for c in plan.collisions if c.kind == "gate_resonance"]
+        assert [(c.gate_type, c.k) for c in hits] == [("iswap", -4)]
+        assert all(abs(c.k) <= 5 for c in plan.collisions)
+
+    def test_wide_k_window_checks_its_outer_resonances(self, pair12, mono_point):
+        # the CZ02 k=-6 drive sits 0.64 MHz from the iSWAP k=-12 resonance
+        plan = plan_gate(pair12, mono_point, GateType.CZ02, -6, k_window=12)
+        hits = [
+            c for c in plan.collisions
+            if c.kind == "gate_resonance" and c.gate_type == "iswap" and c.k == -12
+        ]
+        assert len(hits) == 1
+        assert abs(hits[0].gap_mhz) < 1.0
+        default = plan_gate(pair12, mono_point, GateType.CZ02, -6)
+        assert all(abs(c.k) <= 10 for c in default.collisions)
+
     def test_bandwidth_validation(self, pair12, mono_point):
         plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
         with pytest.raises(ValidationError):

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fluxmod import (
     FitDivergence,
@@ -15,6 +18,7 @@ from fluxmod import (
     frequency_curve,
     load_device,
     transition_frequencies,
+    transmon,
 )
 from conftest import Q1_DATA, Q2_DATA, Q3_DATA, Q4_DATA
 
@@ -70,6 +74,30 @@ class TestTransitionFrequencies:
         with pytest.raises(TruncationTooCoarse):
             transition_frequencies(q1, 0.0, n_charge=3)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        ec=st.floats(0.05, 2.0),
+        ej1=st.floats(0.2, 80.0),
+        ratio=st.floats(1e-6, 1.0),
+        flux=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4),
+    )
+    def test_parity_blocks_match_dense_solve(self, ec, ej1, ratio, flux):
+        spec = TransmonSpec(ej1_ghz=ej1, ej2_ghz=ej1 * ratio, ec_ghz=ec)
+        try:
+            f01, f12 = transition_frequencies(spec, np.array(flux))
+        except TruncationTooCoarse:
+            assume(False)
+        # reference: the full (2 n_charge + 1)^2 charge-basis matrix
+        n = np.arange(-20, 21)
+        hop = -0.5 * ej_eff(spec, np.array(flux))
+        h = np.zeros((len(flux), n.size, n.size))
+        h[:, np.arange(n.size), np.arange(n.size)] = 4.0 * ec * n * n
+        h[:, np.arange(n.size - 1), np.arange(1, n.size)] = hop[:, None]
+        h[:, np.arange(1, n.size), np.arange(n.size - 1)] = hop[:, None]
+        levels = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(f01 - (levels[:, 1] - levels[:, 0]))) < 1e-10
+        assert np.max(np.abs(f12 - (levels[:, 2] - levels[:, 1]))) < 1e-10
+
 
 class TestFitSpec:
     @pytest.mark.parametrize("data", [Q1_DATA, Q2_DATA, Q3_DATA, Q4_DATA])
@@ -119,6 +147,34 @@ class TestFourierSeries:
         series = fourier_coefficients(q1, channel="f12")
         _, f12 = transition_frequencies(q1, 0.3)
         assert series.evaluate(0.3) == pytest.approx(f12, abs=1e-9)
+
+    @pytest.fixture()
+    def diagonalizations(self, monkeypatch):
+        """Flux-array sizes of every diagonalization made while the test runs."""
+        sizes = []
+        original = transmon.transition_frequencies
+
+        def counting(spec, flux_phi0, *args, **kwargs):
+            sizes.append(np.size(flux_phi0))
+            return original(spec, flux_phi0, *args, **kwargs)
+
+        monkeypatch.setattr(transmon, "transition_frequencies", counting)
+        return sizes
+
+    def test_one_half_period_diagonalization_serves_both_channels(
+        self, diagonalizations
+    ):
+        spec = TransmonSpec(ej1_ghz=13.37, ej2_ghz=4.21, ec_ghz=0.217)
+        fourier_coefficients(spec, samples=2048)
+        fourier_coefficients(spec, channel="f12", samples=2048)
+        assert diagonalizations == [2048 // 2 + 1]
+
+    def test_label_does_not_split_the_cache(self, diagonalizations):
+        a = TransmonSpec(ej1_ghz=14.2, ej2_ghz=3.9, ec_ghz=0.193, label="a")
+        first = fourier_coefficients(a, channel="f12")
+        second = fourier_coefficients(replace(a, label="b"), channel="f12")
+        assert diagonalizations == [4096 // 2 + 1]
+        assert second == first
 
     def test_validation(self, q1):
         with pytest.raises(ValidationError):

@@ -19,7 +19,13 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from .errors import FlatResponse, NonMonotoneRegion, ValidationError
+from .errors import (
+    FlatResponse,
+    NonMonotoneRegion,
+    ValidationError,
+    require_entry,
+    require_number,
+)
 from .modulation import avg_frequency_slopes, sweet_spot_solve
 from .pulses import (
     BichromaticPulse,
@@ -358,25 +364,63 @@ def save_scenario(hw: VirtualHardware, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> VirtualHardware:
-    """Load a virtual-hardware scenario saved by save_scenario."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    q = raw["qubit"]
+    """Load a virtual-hardware scenario saved by save_scenario.
+
+    Every value must have the type save_scenario writes: finite JSON
+    numbers, a string label, an integer seed and a boolean
+    randomize_theta0.  A missing or unknown key, or a value of the wrong
+    type, raises ValidationError naming the entry and key.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"scenario file is not valid JSON: {exc}") from exc
+    require_entry(
+        "scenario file", raw, ("qubit", "transfer_function"),
+        ("hidden_theta0_rad", "noise_sigma_khz", "seed", "randomize_theta0"),
+    )
+    q = require_entry("scenario qubit", raw["qubit"], ("ej1_ghz", "ej2_ghz", "ec_ghz"), ("label",))
+    label = q.get("label", "")
+    if not isinstance(label, str):
+        raise ValidationError(f"scenario qubit: label must be a string, got {label!r}")
     spec = TransmonSpec(
-        ej1_ghz=float(q["ej1_ghz"]),
-        ej2_ghz=float(q["ej2_ghz"]),
-        ec_ghz=float(q["ec_ghz"]),
-        label=q.get("label", ""),
+        *(require_number("scenario qubit", key, q[key]) for key in ("ej1_ghz", "ej2_ghz", "ec_ghz")),
+        label=label,
     )
-    pairs = raw["transfer_function"]
+    table = raw["transfer_function"]
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and len(row) == 2 for row in table
+    ):
+        raise ValidationError(
+            "scenario file: transfer_function must be a list of [freq_mhz, transmission] pairs"
+        )
     tf = TransferFunction(
-        freqs_mhz=tuple(float(f) for f, _ in pairs),
-        transmission=tuple(float(t) for _, t in pairs),
+        freqs_mhz=tuple(
+            require_number("scenario file", f"transfer_function[{i}][0]", f)
+            for i, (f, _) in enumerate(table)
+        ),
+        transmission=tuple(
+            require_number("scenario file", f"transfer_function[{i}][1]", t)
+            for i, (_, t) in enumerate(table)
+        ),
     )
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValidationError(f"scenario file: seed must be an integer, got {seed!r}")
+    randomize = raw.get("randomize_theta0", False)
+    if not isinstance(randomize, bool):
+        raise ValidationError(
+            f"scenario file: randomize_theta0 must be true or false, got {randomize!r}"
+        )
     return VirtualHardware(
         spec=spec,
-        theta0_rad=float(raw.get("hidden_theta0_rad", 0.0)),
+        theta0_rad=require_number(
+            "scenario file", "hidden_theta0_rad", raw.get("hidden_theta0_rad", 0.0)
+        ),
         transfer=tf,
-        noise_sigma_khz=float(raw.get("noise_sigma_khz", 0.0)),
-        seed=int(raw.get("seed", 0)),
-        randomize_theta0=bool(raw.get("randomize_theta0", False)),
+        noise_sigma_khz=require_number(
+            "scenario file", "noise_sigma_khz", raw.get("noise_sigma_khz", 0.0)
+        ),
+        seed=seed,
+        randomize_theta0=randomize,
     )

@@ -38,6 +38,37 @@ def require_finite(**values: float) -> None:
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
+def require_number(where: str, key: str, value: object) -> float:
+    """A number read from an input file, as a float.
+
+    Raises ValidationError naming the entry and key when the value is not
+    a JSON number (a string such as "5" or a boolean included) or is NaN
+    or infinite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: {key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def require_entry(
+    where: str, entry: object, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict:
+    """An input-file entry: a mapping with every required key and no unknown one."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: entry must be a mapping, got {entry!r}")
+    for key in required:
+        if key not in entry:
+            raise ValidationError(f"{where}: missing key {key!r}")
+    for key in entry:
+        if key not in required and key not in optional:
+            raise ValidationError(
+                f"{where}: unknown key {key!r}; expected {', '.join(required + optional)}"
+            )
+    return entry
+
+
 class AliasingRisk(ValidationError):
     """Sample rate below ten samples per period of the fastest tone."""
 

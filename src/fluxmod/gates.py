@@ -111,13 +111,22 @@ class PairSpec:
 
 
 @lru_cache(maxsize=64)
-def _neighbor_freqs(spec: TransmonSpec, phi_dc: float) -> tuple[float, float]:
+def _cached_neighbor_freqs(
+    ej1_ghz: float, ej2_ghz: float, ec_ghz: float, phi_dc: float
+) -> tuple[float, float]:
+    spec = TransmonSpec(ej1_ghz=ej1_ghz, ej2_ghz=ej2_ghz, ec_ghz=ec_ghz)
     f01, f12 = transition_frequencies(spec, phi_dc)
     return float(f01), float(f12)
 
 
+def _neighbor_freqs(pair: PairSpec) -> tuple[float, float]:
+    """Static (f01, f12) of the pair's neighbor, keyed on its junction energies."""
+    nb = pair.neighbor
+    return _cached_neighbor_freqs(nb.ej1_ghz, nb.ej2_ghz, nb.ec_ghz, pair.neighbor_phi_dc_phi0)
+
+
 def _target_freq_ghz(pair: PairSpec, gate_type: GateType) -> float:
-    f01n, f12n = _neighbor_freqs(pair.neighbor, pair.neighbor_phi_dc_phi0)
+    f01n, f12n = _neighbor_freqs(pair)
     return f12n if gate_type.neighbor_channel == "f12" else f01n
 
 
@@ -338,7 +347,7 @@ def check_collisions(
     fm_ghz = plan.fm_mhz * 1e-3
     tls_all = tuple(pair.tls_ghz) + tuple(tls_ghz)
     spectra = _spectra_for_checks(pair, plan.pulse, k_window)
-    f01n, f12n = _neighbor_freqs(pair.neighbor, pair.neighbor_phi_dc_phi0)
+    f01n, f12n = _neighbor_freqs(pair)
     own_ladder = plan.gate_type.ladder_channel
     own_target = plan.gate_type.neighbor_channel
 

@@ -25,10 +25,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.optimize import brentq
 from scipy.special import jv
 
-from .errors import CutoffTooSmall, NoRoot, ValidationError, require_finite
+from .errors import (
+    CutoffTooSmall,
+    NoRoot,
+    NumericalError,
+    ValidationError,
+    require_finite,
+)
 from .pulses import BichromaticPulse
 from .transmon import FourierSeries, TransmonSpec, fourier_coefficients, transition_frequencies
 
@@ -54,6 +59,14 @@ __all__ = [
 SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0 = 5e-5
 
 _QUAD_NODES = 512
+
+# Sweet-spot root finder: first and largest degree of the Chebyshev proxy
+# of the phi_ac slope, the relative size of its last three coefficients
+# below which it is accepted, and a cap on the Newton polish
+_PROXY_DEGREE = 32
+_PROXY_MAX_DEGREE = 512
+_PROXY_TAIL = 1e-7
+_NEWTON_MAX_STEPS = 100
 
 
 def _drive(p: int, alpha: float, theta: float, nodes: int) -> np.ndarray:
@@ -251,6 +264,86 @@ def dephasing_proxy(point: OperatingPoint, noise: NoiseModel = NoiseModel()) -> 
     )
 
 
+def _lobatto_amps(window: tuple[float, float], n: int, odd_only: bool) -> np.ndarray:
+    """Amplitudes at the Chebyshev-Lobatto points cos(pi j / n) of the window.
+
+    With ``odd_only`` just the odd j, the points that degree n adds to
+    degree n / 2.
+    """
+    lo, hi = window
+    j = np.arange(1, n, 2) if odd_only else np.arange(n + 1)
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * j / n)
+
+
+def _slope_proxy(
+    slope: Callable[[np.ndarray], np.ndarray], window: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev interpolant of the phi_ac slope over the window.
+
+    Returns its coefficients (on x in [-1, 1] across the window) and the
+    Lobatto amplitudes, ascending, with the slopes it was built from.  The
+    degree starts at _PROXY_DEGREE and doubles, reusing every earlier
+    sample, until the last three coefficients fall below _PROXY_TAIL
+    times the largest; the tail bounds the proxy's error, so a root pair
+    is lost only where the slope never leaves that band between them.
+    """
+    n = _PROXY_DEGREE
+    values = slope(_lobatto_amps(window, n, odd_only=False))
+    while True:
+        # values at cos(pi j / n) are a real-even sequence of period 2n
+        coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+        coeffs[[0, n]] *= 0.5
+        scale = np.max(np.abs(coeffs))
+        if np.max(np.abs(coeffs[-3:])) <= _PROXY_TAIL * scale:
+            # samples in increasing amplitude
+            return coeffs, _lobatto_amps(window, n, odd_only=False)[::-1], values[::-1]
+        if 2 * n > _PROXY_MAX_DEGREE:
+            raise CutoffTooSmall(
+                f"slope proxy tail {np.max(np.abs(coeffs[-3:])):.2e} GHz/Phi0 "
+                f"still above {_PROXY_TAIL:.0e} of its scale at degree {n}"
+            )
+        merged = np.empty(2 * n + 1)
+        merged[0::2] = values
+        merged[1::2] = slope(_lobatto_amps(window, 2 * n, odd_only=True))
+        values, n = merged, 2 * n
+
+
+def _sign_change_roots(
+    coeffs: np.ndarray,
+    edges: np.ndarray,
+    slopes: np.ndarray,
+    window: tuple[float, float],
+    slope: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, ...]:
+    """Proxy roots across which the kernel's own slope changes sign.
+
+    Returns each root with its bracket (left, right) and the kernel slope
+    at its left end.  The brackets are the cells between the ascending
+    Lobatto samples ``edges``; a cell holding several proxy roots is split
+    at the midpoints between them, which costs the only extra kernel call.
+    A proxy root whose bracket shows no sign change (a tangency, or an
+    artefact of the proxy) is dropped; one whose bracket ends on an exactly
+    zero slope is kept, as a scan would count that sample.
+    """
+    lo, hi = window
+    x = np.polynomial.chebyshev.chebroots(coeffs) if coeffs.size > 1 else np.empty(0)
+    x = np.unique(x.real[(x.imag == 0.0) & (np.abs(x.real) <= 1.0)])
+    cand = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+    cell = np.searchsorted(edges, cand)
+    mids = 0.5 * (cand[1:] + cand[:-1])[cell[1:] == cell[:-1]]
+    if mids.size:
+        edges = np.concatenate([edges, mids])
+        slopes = np.concatenate([slopes, slope(mids)])
+        order = np.argsort(edges)
+        edges, slopes = edges[order], slopes[order]
+        cell = np.searchsorted(edges, cand)
+    inside = (cell > 0) & (cell < edges.size)
+    cand, cell = cand[inside], cell[inside]
+    crossing = slopes[cell - 1] * slopes[cell] <= 0.0
+    cand, cell = cand[crossing], cell[crossing]
+    return cand, edges[cell - 1], edges[cell], slopes[cell - 1]
+
+
 def _solve(
     series: FourierSeries,
     phi_dc: float,
@@ -258,42 +351,48 @@ def _solve(
     alpha: float,
     theta: float,
     window: tuple[float, float],
-    scan_points: int,
     xtol: float,
 ) -> list[tuple[float, float, float, float]]:
     """(amplitude, f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc) per root."""
     lo, hi = window
-    grid = np.linspace(lo, hi, scan_points)
-    _, der, _ = avg_frequency_slopes(series, phi_dc, p, alpha, theta, grid)
 
-    def slope(a: float) -> float:
-        return float(avg_frequency_slopes(series, phi_dc, p, alpha, theta, [a])[1][0])
+    def kernel(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return avg_frequency_slopes(series, phi_dc, p, alpha, theta, amps)
 
-    roots: list[float] = []
-    for i in range(scan_points - 1):
-        d0, d1 = der[i], der[i + 1]
-        if d0 == 0.0:
-            roots.append(float(grid[i]))
-        elif d0 * d1 < 0.0:
-            roots.append(brentq(slope, grid[i], grid[i + 1], xtol=0.5 * xtol))
-    if der[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    # merge duplicates from a root sitting exactly on a grid node
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 10.0 * xtol:
-            merged.append(r)
-    if not merged:
+    coeffs, edges, slopes = _slope_proxy(lambda amps: kernel(amps)[1], window)
+    # the negligible tail only slows the colleague-matrix eigensolve
+    big = np.nonzero(np.abs(coeffs) > _PROXY_TAIL * np.max(np.abs(coeffs)))[0]
+    coeffs = coeffs[: big[-1] + 1] if big.size else coeffs[:1]
+    amps, a, b, s_left = _sign_change_roots(
+        coeffs, edges, slopes, window, lambda amps: kernel(amps)[1]
+    )
+    if not amps.size:
         raise NoRoot(
             f"no stationary amplitude in [{lo}, {hi}] for alpha={alpha:.4f}, "
             f"theta={theta:.4f}"
         )
-    fbar, dac, ddc = avg_frequency_slopes(series, phi_dc, p, alpha, theta, merged)
-    return [
-        (r, float(f), float(a), float(d)) for r, f, a, d in zip(merged, fbar, dac, ddc)
-    ]
+
+    # Newton steps on the kernel slope for all roots at once, with the
+    # proxy's derivative as Jacobian.  Each kernel value shrinks its root's
+    # bracket, and a step that would leave the bracket bisects it instead.
+    jac_coeffs = np.polynomial.chebyshev.chebder(coeffs) * (2.0 / (hi - lo))
+    for _ in range(_NEWTON_MAX_STEPS):
+        fbar, dac, ddc = kernel(amps)
+        left = dac * s_left > 0.0
+        a, b = np.where(left, amps, a), np.where(left, b, amps)
+        jac = np.polynomial.chebyshev.chebval((2.0 * amps - hi - lo) / (hi - lo), jac_coeffs)
+        newton = amps - np.divide(dac, jac, out=np.full_like(dac, np.inf), where=jac != 0.0)
+        step = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b)) - amps
+        step[dac == 0.0] = 0.0
+        if np.all(np.abs(step) < 0.5 * xtol):
+            return [
+                (float(r), float(f), float(d), float(e))
+                for r, f, d, e in zip(amps, fbar, dac, ddc)
+            ]
+        amps = amps + step
+    raise NumericalError(
+        f"sweet-spot polish did not reach xtol={xtol:g} in {_NEWTON_MAX_STEPS} steps"
+    )
 
 
 def sweet_spot_solve(
@@ -303,25 +402,27 @@ def sweet_spot_solve(
     alpha_rad: float,
     theta_rad: float,
     window: tuple[float, float] = (0.05, 0.9),
-    scan_points: int = 64,
     xtol: float = 1e-6,
 ) -> list[tuple[float, float]]:
     """Amplitudes where the average frequency is stationary in the ac knob.
 
-    Scans the window for sign changes of the exact derivative and polishes
-    each bracket with Brent's method to within ``xtol / 2``.  Returns
-    (amplitude, average frequency) pairs in increasing amplitude order;
-    raises NoRoot when the window contains none, which is a legitimate
-    outcome for some mixing angles.
+    Interpolates the exact ac slope across the window by a Chebyshev proxy
+    from one batched kernel call at 33 Chebyshev-Lobatto amplitudes,
+    doubling the degree (up to 512, else CutoffTooSmall) until its last
+    coefficients are below 1e-7 of its scale.  The proxy's real roots,
+    eigenvalues of its colleague matrix, are kept where the kernel's own
+    slope changes sign across them, so a tangency is not a root.  Newton
+    steps on the kernel then polish all roots together until every step
+    is below ``xtol / 2``.  Returns (amplitude, average frequency) pairs in
+    increasing amplitude order; raises NoRoot when the window contains
+    none, which is a legitimate outcome for some mixing angles.
     """
     require_finite(phi_dc=phi_dc, alpha_rad=alpha_rad, theta_rad=theta_rad)
     if not (0.0 <= window[0] < window[1]):
         raise ValidationError("window must satisfy 0 <= lo < hi")
-    if scan_points < 16:
-        raise ValidationError("need at least 16 scan points")
     roots = _solve(
         fourier_coefficients(spec),
-        phi_dc, p, alpha_rad, theta_rad, window, scan_points, xtol,
+        phi_dc, p, alpha_rad, theta_rad, window, xtol,
     )
     return [(amp, fbar) for amp, fbar, _, _ in roots]
 
@@ -356,14 +457,12 @@ class AtlasResult:
 
 
 def _atlas_chunk(args: tuple) -> list[tuple[float, float, float, float, float, float]]:
-    (series, phi_dc, p, alphas, thetas, window, scan_points, xtol) = args
+    (series, phi_dc, p, alphas, thetas, window, xtol) = args
     rows = []
     for alpha in alphas:
         for theta in thetas:
             try:
-                solutions = _solve(
-                    series, phi_dc, p, alpha, theta, window, scan_points, xtol
-                )
+                solutions = _solve(series, phi_dc, p, alpha, theta, window, xtol)
             except NoRoot:
                 rows.append((alpha, theta, math.nan, math.nan, math.nan, math.nan))
                 continue
@@ -381,18 +480,18 @@ def sweet_spot_atlas(
     jobs: int = 1,
     fm_mhz: float = 100.0,
     window: tuple[float, float] = (0.05, 0.9),
-    scan_points: int = 64,
     xtol: float = 1e-6,
     threshold_ghz_per_phi0: float = SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0,
 ) -> AtlasResult:
     """Locate stationary amplitudes across a grid of mixing parameters.
 
-    Every grid node is solved independently; nodes without a root are
-    counted, not fatal.  The reported operating points carry a pulse with
-    the given modulation frequency, which does not affect the average
-    frequency or the sensitivities.  With ``jobs > 1`` the alpha rows are
-    distributed over worker processes; output ordering is independent of
-    the job count.
+    Every grid node is solved independently by the root finder of
+    sweet_spot_solve, and f_bar and both slopes come from its last kernel
+    call at each root; nodes without a root are counted, not fatal.  The
+    reported operating points carry a pulse with the given modulation
+    frequency, which does not affect the average frequency or the
+    sensitivities.  With ``jobs > 1`` the alpha rows are distributed over
+    worker processes; output ordering is independent of the job count.
     """
     alphas = [float(a) for a in alpha_grid]
     thetas = [float(t) for t in theta_grid]
@@ -406,17 +505,12 @@ def sweet_spot_atlas(
     series = fourier_coefficients(spec)
 
     if jobs > 1:
-        chunks = [
-            (series, phi_dc, p, [a], thetas, window, scan_points, xtol)
-            for a in alphas
-        ]
+        chunks = [(series, phi_dc, p, [a], thetas, window, xtol) for a in alphas]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_alpha = list(pool.map(_atlas_chunk, chunks))
         rows = [row for chunk in per_alpha for row in chunk]
     else:
-        rows = _atlas_chunk(
-            (series, phi_dc, p, alphas, thetas, window, scan_points, xtol)
-        )
+        rows = _atlas_chunk((series, phi_dc, p, alphas, thetas, window, xtol))
 
     points: list[OperatingPoint] = []
     n_no_root = 0
@@ -485,7 +579,9 @@ class SidebandSpectrum:
 
 @lru_cache(maxsize=32)
 def _instantaneous_frequency(
-    spec: TransmonSpec,
+    ej1_ghz: float,
+    ej2_ghz: float,
+    ec_ghz: float,
     channel: str,
     p: int,
     alpha: float,
@@ -497,8 +593,10 @@ def _instantaneous_frequency(
     """Transition frequency (GHz) at ``nodes`` uniform times over one period.
 
     It depends on the pulse shape but not on the modulation frequency, so
-    one profile serves every fm; the array is shared and read-only.
+    one profile serves every fm; the array is shared and read-only.  Keyed
+    on the junction energies, so qubits that differ only in label share it.
     """
+    spec = TransmonSpec(ej1_ghz=ej1_ghz, ej2_ghz=ej2_ghz, ec_ghz=ec_ghz)
     drive = _drive(p, alpha, theta, nodes)
     finst, _ = _node_series(
         fourier_coefficients(spec, channel=channel).as_array(),
@@ -541,8 +639,8 @@ def sideband_weights(
     if khi - klo + 1 > nodes // 4:
         raise ValidationError("k_range too wide for the node count")
     finst = _instantaneous_frequency(
-        spec, channel, pulse.p, pulse.alpha_rad, pulse.theta_rad,
-        pulse.phi_ac_phi0, pulse.phi_dc_phi0, nodes,
+        spec.ej1_ghz, spec.ej2_ghz, spec.ec_ghz, channel, pulse.p,
+        pulse.alpha_rad, pulse.theta_rad, pulse.phi_ac_phi0, pulse.phi_dc_phi0, nodes,
     )
     cycles = finst / pulse.fm_ghz
     # trapezoid steps around the full period, including the wrap segment,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,11 @@ class TransferFunction:
     def band_mhz(self) -> tuple[float, float]:
         return self.freqs_mhz[0], self.freqs_mhz[-1]
 
+    @cached_property
+    def _interpolant(self) -> PchipInterpolator:
+        # built once per table; the frozen fields never change under it
+        return PchipInterpolator(self.freqs_mhz, self.transmission)
+
     def at(self, f_mhz: np.ndarray | float) -> np.ndarray | float:
         f = np.asarray(f_mhz, dtype=float)
         lo, hi = self.band_mhz
@@ -333,8 +339,7 @@ class TransferFunction:
             raise OutOfBand(
                 f"frequency outside tabulated band [{lo}, {hi}] MHz"
             )
-        interp = PchipInterpolator(self.freqs_mhz, self.transmission)
-        out = interp(np.clip(f, lo, hi))
+        out = self._interpolant(np.clip(f, lo, hi))
         return float(out) if np.isscalar(f_mhz) else out
 
     def to_csv(self, path: str | Path) -> None:

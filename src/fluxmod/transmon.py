@@ -28,7 +28,9 @@ from .errors import (
     FitDivergence,
     TruncationTooCoarse,
     ValidationError,
+    require_entry,
     require_finite,
+    require_number,
 )
 
 __all__ = [
@@ -340,10 +342,8 @@ class Device:
         raise ValidationError(f"device file lists no pair {modulated}:{neighbor}")
 
 
-def _number(where: str, key: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: {key} must be a number, got {value!r}")
-    return float(value)
+_EJ_KEYS = ("ej1_ghz", "ej2_ghz", "ec_ghz")
+_BAND_EDGE_KEYS = ("f01_max_ghz", "f01_min_ghz", "anharm_ghz")
 
 
 def load_device(path: str | Path) -> Device:
@@ -353,6 +353,8 @@ def load_device(path: str | Path) -> Device:
     (f01_max_ghz, f01_min_ghz, anharm_ghz) or explicit junction energies
     (ej1_ghz, ej2_ghz, ec_ghz).  Pair entries name two qubits, their static
     coupling in MHz, and optionally a list of parasitic TLS frequencies.
+    Every value must be a finite JSON number; a missing or unknown key, at
+    the top level or in any entry, raises ValidationError naming it.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -361,45 +363,27 @@ def load_device(path: str | Path) -> Device:
             raise ValidationError(f"device file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("qubits"), dict):
         raise ValidationError("device file needs a 'qubits' mapping")
+    require_entry("device file", raw, ("qubits",), ("pairs",))
     if not isinstance(raw.get("pairs", []), list):
         raise ValidationError("device file 'pairs' must be a list of pair entries")
 
     qubits: dict[str, TransmonSpec] = {}
     for name, entry in raw["qubits"].items():
         where = f"qubit {name!r}"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: entry must be a mapping, got {entry!r}")
-        try:
-            if "ej1_ghz" in entry:
-                qubits[name] = TransmonSpec(
-                    ej1_ghz=_number(where, "ej1_ghz", entry["ej1_ghz"]),
-                    ej2_ghz=_number(where, "ej2_ghz", entry["ej2_ghz"]),
-                    ec_ghz=_number(where, "ec_ghz", entry["ec_ghz"]),
-                    label=name,
-                )
-            else:
-                qubits[name] = fit_spec(
-                    _number(where, "f01_max_ghz", entry["f01_max_ghz"]),
-                    _number(where, "f01_min_ghz", entry["f01_min_ghz"]),
-                    _number(where, "anharm_ghz", entry["anharm_ghz"]),
-                    label=name,
-                )
-        except KeyError as exc:
-            raise ValidationError(
-                f"{where}: missing key {exc.args[0]!r}; need "
-                "f01_max_ghz/f01_min_ghz/anharm_ghz or ej1_ghz/ej2_ghz/ec_ghz"
-            ) from exc
+        keys = _EJ_KEYS if isinstance(entry, dict) and "ej1_ghz" in entry else _BAND_EDGE_KEYS
+        require_entry(where, entry, keys)
+        values = [require_number(where, key, entry[key]) for key in keys]
+        if keys is _EJ_KEYS:
+            qubits[name] = TransmonSpec(*values, label=name)
+        else:
+            qubits[name] = fit_spec(*values, label=name)
 
     pairs = []
     for i, entry in enumerate(raw.get("pairs", [])):
         where = f"pair entry {i}"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: entry must be a mapping, got {entry!r}")
-        try:
-            a, b = entry["modulated"], entry["neighbor"]
-            coupling = _number(where, "coupling_mhz", entry["coupling_mhz"])
-        except KeyError as exc:
-            raise ValidationError(f"{where}: missing key {exc.args[0]!r}") from exc
+        require_entry(where, entry, ("modulated", "neighbor", "coupling_mhz"), ("tls_ghz",))
+        a, b = entry["modulated"], entry["neighbor"]
+        coupling = require_number(where, "coupling_mhz", entry["coupling_mhz"])
         for q in (a, b):
             if not isinstance(q, str) or q not in qubits:
                 raise ValidationError(f"{where}: pair references unknown qubit {q!r}")
@@ -416,7 +400,7 @@ def load_device(path: str | Path) -> Device:
                 neighbor=b,
                 coupling_mhz=coupling,
                 tls_ghz=tuple(
-                    _number(where, f"tls_ghz[{j}]", t) for j, t in enumerate(tls)
+                    require_number(where, f"tls_ghz[{j}]", t) for j, t in enumerate(tls)
                 ),
             )
         )

@@ -221,6 +221,21 @@ class TestCalibrate:
         assert payload["theta0_rad"] == pytest.approx(-0.1, abs=1e-6)
 
 
+class Scenario(dict):
+    """A scenario file body; the test writes it and passes its path for SCENARIO."""
+
+
+def _scenario_with(**qubit):
+    return Scenario({
+        "qubit": {"ej1_ghz": 20.0, "ej2_ghz": 10.0, "ec_ghz": 0.2, "label": "q", **qubit},
+        "transfer_function": [[10.0, 1.0], [100.0, 0.9], [200.0, 0.8], [500.0, 0.5]],
+        "hidden_theta0_rad": 0.1,
+        "noise_sigma_khz": 0.0,
+        "seed": 0,
+        "randomize_theta0": False,
+    })
+
+
 def _device_with(qubit_q1=None, pair=None):
     q1 = {"f01_max_ghz": Q1_DATA[0], "f01_min_ghz": Q1_DATA[1], "anharm_ghz": Q1_DATA[2]}
     q2 = {"f01_max_ghz": Q2_DATA[0], "f01_min_ghz": Q2_DATA[1], "anharm_ghz": Q2_DATA[2]}
@@ -296,17 +311,52 @@ def _device_with(qubit_q1=None, pair=None):
             ("sweep", "--qubit", "q1"),
             "tls_ghz",
         ),
+        (
+            _device_with(pair={"modulated": "q1", "neighbor": "q2", "coupling_mhz": 4.0,
+                               "tls_gz": [4.5]}),
+            ("plan", "--pair", "q1:q2", "--k=-2", "--p", "1"),
+            "tls_gz",
+        ),
+        (
+            _device_with(qubit_q1={"f01_max_ghz": 5.25, "f01_min_ghz": 4.4,
+                                   "anharm_ghz": -0.2, "ec_ghz": 0.2}),
+            ("sweep", "--qubit", "q1"),
+            "ec_ghz",
+        ),
+        ({**_device_with(), "pair": []}, ("sweep", "--qubit", "q1"), "'pair'"),
+        (
+            Scenario({**_scenario_with(), "qubit": {"ej1_ghz": 20.0, "ec_ghz": 0.2}}),
+            ("calibrate", "--scenario", "SCENARIO"),
+            "ej2_ghz",
+        ),
+        (_scenario_with(ej1_ghz="20"), ("calibrate", "--scenario", "SCENARIO"), "ej1_ghz"),
+        (
+            Scenario({**_scenario_with(), "seed": "0"}),
+            ("calibrate", "--scenario", "SCENARIO"),
+            "seed",
+        ),
+        (
+            Scenario({**_scenario_with(), "noise_khz": 2.0}),
+            ("calibrate", "--scenario", "SCENARIO"),
+            "noise_khz",
+        ),
     ],
     ids=[
         "alpha-nan", "fm-nan", "pair-no-coupling", "qubit-no-ej2", "f01-max-nan",
         "bandwidth-nan", "tls-nan", "max-fm-nan", "atlas-phi-dc-nan", "atlas-alpha-nan",
         "qubit-not-mapping", "value-not-number", "pairs-not-list", "invalid-json",
-        "self-pair", "duplicate-pair", "tls-not-list",
+        "self-pair", "duplicate-pair", "tls-not-list", "pair-unknown-key",
+        "qubit-unknown-key", "top-level-unknown-key", "scenario-no-ej2",
+        "scenario-string-number", "scenario-seed-string", "scenario-unknown-key",
     ],
 )
 def test_bad_input_exits_2_naming_it(runner, device_file, tmp_path, device, args, named):
     spec = device_file
-    if device is not None:
+    if isinstance(device, Scenario):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(device))
+        args = tuple(str(scenario) if a == "SCENARIO" else a for a in args)
+    elif device is not None:
         spec = tmp_path / "device.json"
         spec.write_text(device if isinstance(device, str) else json.dumps(device))
     res = runner.invoke(

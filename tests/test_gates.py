@@ -157,6 +157,20 @@ class TestCouplingAndDuration:
 
 
 class TestCollisions:
+    def test_neighbor_lookup_ignores_the_label(self, q1, q2):
+        from fluxmod.gates import _cached_neighbor_freqs, _neighbor_freqs
+
+        nb = replace(q2, ej1_ghz=q2.ej1_ghz * (1 + 1e-9))
+        pairs = [
+            PairSpec(modulated=q1, neighbor=replace(nb, label=label), coupling_mhz=4.0)
+            for label in ("a", "b")
+        ]
+        before = _cached_neighbor_freqs.cache_info()
+        first, second = (_neighbor_freqs(pair) for pair in pairs)
+        after = _cached_neighbor_freqs.cache_info()
+        assert first == second
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
     def test_mono_plan_flags_shared_resonance(self, pair12, mono_point):
         plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
         hits = [

@@ -17,6 +17,7 @@ from fluxmod import (
     avg_frequency_slopes,
     avg_frequency_timedomain,
     dephasing_proxy,
+    fit_spec,
     fourier_coefficients,
     operating_point,
     sensitivities,
@@ -238,8 +239,44 @@ class TestSweetSpotSolve:
     def test_window_validation(self, q1):
         with pytest.raises(ValidationError):
             sweet_spot_solve(q1, 0.0, 1, 0.0, 0.0, window=(0.5, 0.1))
-        with pytest.raises(ValidationError):
-            sweet_spot_solve(q1, 0.0, 1, 0.0, 0.0, scan_points=8)
+
+    def test_proxy_degree_is_capped(self, q1, monkeypatch):
+        import fluxmod.modulation as modulation
+
+        # no tail is ever exactly zero, so the degree doubles to the cap
+        monkeypatch.setattr(modulation, "_PROXY_TAIL", 0.0)
+        with pytest.raises(CutoffTooSmall):
+            sweet_spot_solve(q1, 0.0, 1, 0.0, 0.0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["q1", "q2", "q3", "q4"]),
+        p=st.integers(1, 5),
+        alpha=st.floats(0.0, math.pi / 2),
+        theta=st.floats(-math.pi, math.pi),
+        phi_dc=st.floats(-0.2, 0.2),
+    )
+    def test_one_root_per_dense_kernel_sign_change(
+        self, study_qubits, name, p, alpha, theta, phi_dc
+    ):
+        # the proxy must neither lose nor invent a root that a dense scan
+        # of the kernel's own slope resolves
+        spec, xtol = study_qubits[name], 1e-6
+        grid = np.linspace(0.05, 0.9, 1025)
+        series = fourier_coefficients(spec)
+        # in cache-sized batches; one 1025-amplitude call is three times slower
+        slope = np.concatenate([
+            avg_frequency_slopes(series, phi_dc, p, alpha, theta, batch)[1]
+            for batch in np.array_split(grid, 16)
+        ])
+        changes = np.nonzero(slope[:-1] * slope[1:] < 0.0)[0]
+        try:
+            roots = sweet_spot_solve(spec, phi_dc, p, alpha, theta, xtol=xtol)
+        except NoRoot:
+            roots = []
+        assert len(roots) == changes.size
+        for (amp, _), i in zip(roots, changes):
+            assert grid[i] - xtol <= amp <= grid[i + 1] + xtol
 
 
 class TestOperatingPoint:
@@ -379,6 +416,20 @@ class TestSidebandWeights:
         assert spec.frequency_ghz(-2) == pytest.approx(
             spec.f_bar_ghz - 2 * mono_pulse.fm_ghz, abs=1e-12
         )
+
+    def test_profile_cache_ignores_the_label(self):
+        from fluxmod.modulation import _instantaneous_frequency
+
+        spec = fit_spec(5.25, 4.426, -0.205, label="a")
+        pulse = BichromaticPulse(
+            fm_mhz=90.0, phi_ac_phi0=0.33, alpha_rad=0.21, theta_rad=-0.52, p=5
+        )
+        before = _instantaneous_frequency.cache_info()
+        first = sideband_weights(spec, pulse, (-5, 5))
+        again = sideband_weights(replace(spec, label="b"), pulse, (-5, 5))
+        after = _instantaneous_frequency.cache_info()
+        assert again.weights == first.weights
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
     def test_reuse_across_fm_is_exact(self, q1):
         from dataclasses import replace

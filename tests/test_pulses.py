@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from fluxmod import (
     AliasingRisk,
@@ -248,6 +249,23 @@ class TestTransferFunction:
             TransferFunction(
                 freqs_mhz=(1.0, 2.0, 3.0, 4.0), transmission=(0.5, -0.1, 0.5, 0.5)
             )
+
+    def test_interpolant_built_once_per_table(self, monkeypatch):
+        import fluxmod.pulses as pulses
+
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return PchipInterpolator(*args)
+
+        monkeypatch.setattr(pulses, "PchipInterpolator", counting)
+        tf = self.make()
+        freqs = np.array([12.0, 77.7, 333.0])
+        first = tf.at(freqs)
+        assert np.array_equal(tf.at(freqs), first)
+        assert tf.at(77.7) == first[1]
+        assert len(built) == 1
 
     def test_csv_roundtrip(self, tmp_path):
         tf = self.make()

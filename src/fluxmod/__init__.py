@@ -67,6 +67,7 @@ from .modulation import (
     avg_frequency_timedomain,
     dephasing_proxy,
     operating_point,
+    pulse_slopes,
     sensitivities,
     sideband_weights,
     sweet_spot_atlas,
@@ -93,11 +94,13 @@ from .transmon import (
     DevicePair,
     FourierSeries,
     FrequencyCurve,
+    LadderCurve,
     TransmonSpec,
     ej_eff,
     fit_spec,
     fourier_coefficients,
     frequency_curve,
+    ladder_curve,
     load_device,
     transition_frequencies,
 )

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import (
@@ -24,9 +23,11 @@ from .errors import (
     NonMonotoneRegion,
     ValidationError,
     require_entry,
+    require_finite,
     require_number,
 )
-from .modulation import avg_frequency_slopes, sweet_spot_solve
+from .modulation import avg_frequency_slopes, pulse_slopes, sweet_spot_solve
+from .numerics import bracketed_newton
 from .pulses import (
     BichromaticPulse,
     TransferFunction,
@@ -34,7 +35,7 @@ from .pulses import (
     distort_pulse,
     wrap_angle,
 )
-from .transmon import TransmonSpec, fourier_coefficients
+from .transmon import TransmonSpec, fourier_coefficients, ladder_curve
 
 __all__ = [
     "VirtualHardware",
@@ -79,8 +80,11 @@ class VirtualHardware:
     randomize_theta0: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(theta0_rad=self.theta0_rad, noise_sigma_khz=self.noise_sigma_khz)
         if self.noise_sigma_khz < 0.0:
             raise ValidationError("noise level must be nonnegative")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         self._rng = np.random.default_rng(self.seed)
 
 
@@ -91,14 +95,6 @@ class RamseyResult:
     f_bar_ghz: float
     uncertainty_khz: float
     programmed: BichromaticPulse
-
-
-def _model_fbar(spec: TransmonSpec, pulse: BichromaticPulse) -> float:
-    fbar, _, _ = avg_frequency_slopes(
-        fourier_coefficients(spec),
-        pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, [pulse.phi_ac_phi0],
-    )
-    return float(fbar[0])
 
 
 def virtual_ramsey(hw: VirtualHardware, pulse: BichromaticPulse) -> RamseyResult:
@@ -112,7 +108,7 @@ def virtual_ramsey(hw: VirtualHardware, pulse: BichromaticPulse) -> RamseyResult
     if hw.randomize_theta0:
         theta0 = float(hw._rng.uniform(-math.pi, math.pi))
     delivered = distort_pulse(pulse, hw.transfer, theta0_rad=theta0)
-    fbar = _model_fbar(hw.spec, delivered)
+    fbar = pulse_slopes(hw.spec, delivered)[0]
     if hw.noise_sigma_khz > 0.0:
         fbar += float(hw._rng.normal(0.0, hw.noise_sigma_khz * 1e-6))
     return RamseyResult(
@@ -266,10 +262,7 @@ def calibrate_transfer_function(
     if not 0.0 < probe_amp_phi0 < 0.9:
         raise ValidationError("probe amplitude must sit inside the first flux period")
 
-    series = fourier_coefficients(hw.spec)
-
-    def fbar(amp: float) -> float:
-        return float(avg_frequency_slopes(series, 0.0, 1, 0.0, 0.0, [amp])[0][0])
+    curve = ladder_curve(hw.spec)
 
     # invertible branch: zero amplitude down to the first stationary point
     bound = sweet_spot_solve(hw.spec, 0.0, 1, 0.0, 0.0)[0][0] * 0.999
@@ -279,21 +272,36 @@ def calibrate_transfer_function(
             f"monotone bound {bound:.4f}; the inversion would be ambiguous"
         )
 
-    top, bot = fbar(0.0), fbar(bound)
-    trans = []
-    for f in freqs:
-        probe = BichromaticPulse(
-            fm_mhz=f, phi_ac_phi0=probe_amp_phi0, alpha_rad=0.0, theta_rad=0.0, p=1
+    top, bot = avg_frequency_slopes(curve, 0.0, 1, 0.0, 0.0, [0.0, bound])[0]
+    measured = np.array([
+        virtual_ramsey(
+            hw, BichromaticPulse(fm_mhz=f, phi_ac_phi0=probe_amp_phi0, alpha_rad=0.0,
+                                 theta_rad=0.0, p=1),
+        ).f_bar_ghz
+        for f in freqs
+    ])
+    outside = (measured > top + 1e-12) | (measured < bot - 1e-12)
+    if np.any(outside):
+        raise NonMonotoneRegion(
+            f"measurement at {freqs[int(np.argmax(outside))]} MHz falls outside "
+            "the invertible branch"
         )
-        measured = virtual_ramsey(hw, probe).f_bar_ghz
-        if measured > top + 1e-12 or measured < bot - 1e-12:
-            raise NonMonotoneRegion(
-                f"measurement at {f} MHz falls outside the invertible branch"
-            )
-        # clamp the tolerated overshoot so the bracket keeps its sign change
-        level = min(max(measured, bot), top)
-        delivered = brentq(lambda a: fbar(a) - level, 0.0, bound, xtol=1e-15)
-        trans.append(delivered / probe_amp_phi0)
+    # clamp the tolerated overshoot so each bracket keeps its sign change
+    levels = np.clip(measured, bot, top)
+
+    # f_bar falls monotonically on [0, bound]: invert every level at once by
+    # Newton steps on the kernel's exact phi_ac slope, each safeguarded by
+    # its own bracket, from the quadratic small-amplitude guess
+    def evaluate(amps: np.ndarray) -> tuple[np.ndarray, ...]:
+        fbar, dac, _ = avg_frequency_slopes(curve, 0.0, 1, 0.0, 0.0, amps)
+        return fbar - levels, dac
+
+    start = bound * np.sqrt((top - levels) / (top - bot))
+    delivered, _ = bracketed_newton(
+        evaluate, start, np.zeros_like(levels), np.full_like(levels, bound),
+        np.ones_like(levels), 1e-15, what="transfer-function inversion",
+    )
+    trans = delivered / probe_amp_phi0
     return TransferFunction(freqs_mhz=freqs, transmission=tuple(trans))
 
 
@@ -332,7 +340,7 @@ def calibrate_and_verify(
         hw, desired, n_theta=n_theta, amplitudes=amplitudes, transfer=tf
     )
     compensated = compensate_pulse(desired, tf, theta0_rad=theta0.theta0_rad)
-    target = _model_fbar(hw.spec, desired)
+    target = pulse_slopes(hw.spec, desired)[0]
     measured = virtual_ramsey(hw, compensated).f_bar_ghz
     return CalibrationOutcome(
         theta0=theta0,

@@ -32,7 +32,7 @@ from .calibration import (
     load_scenario,
     reference_transfer_function,
 )
-from .errors import InfeasibleError, NumericalError, ValidationError
+from .errors import InfeasibleError, NumericalError, ValidationError, require_finite
 from .gates import (
     DEFAULT_BANDWIDTH_MHZ,
     GateType,
@@ -50,8 +50,8 @@ from .modulation import (
 from .pulses import BichromaticPulse
 from .transmon import (
     Device,
-    fourier_coefficients,
     frequency_curve,
+    ladder_curve,
     load_device,
     transition_frequencies,
 )
@@ -209,11 +209,11 @@ def sweep(run: RunContext, qubit, flux_min, flux_max, points):
 @click.option("--alpha-min", type=float, default=0.0, show_default=True,
               help="Mixing angle window start, fraction of a turn.")
 @click.option("--alpha-max", type=float, default=0.25, show_default=True)
-@click.option("--alpha-points", type=int, default=16, show_default=True)
+@click.option("--alpha-points", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--theta-min", type=float, default=-0.5, show_default=True,
               help="Relative phase window start, fraction of a turn.")
 @click.option("--theta-max", type=float, default=0.5, show_default=True)
-@click.option("--theta-points", type=int, default=16, show_default=True)
+@click.option("--theta-points", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--fm-mhz", type=float, default=100.0, show_default=True,
               help="Modulation frequency recorded with each point.")
 @click.pass_obj
@@ -223,6 +223,9 @@ def atlas(run: RunContext, qubit, phi_dc, p, alpha_min, alpha_max, alpha_points,
     """Map stationary amplitudes over the (alpha, theta) plane."""
     name = _resolve_qubit(run.device, qubit)
     spec = run.device.qubits[name]
+    require_finite(
+        alpha_min=alpha_min, alpha_max=alpha_max, theta_min=theta_min, theta_max=theta_max
+    )
     alphas = np.linspace(alpha_min * TURN, alpha_max * TURN, alpha_points)
     thetas = np.linspace(theta_min * TURN, theta_max * TURN, theta_points,
                          endpoint=False)
@@ -296,7 +299,7 @@ _plan_options = [
     click.option("--theta", type=float, default=0.0, show_default=True,
                  help="Relative phase, fraction of a turn."),
     click.option("--phi-dc", type=float, default=0.0, show_default=True),
-    click.option("--root-index", type=int, default=0, show_default=True,
+    click.option("--root-index", type=click.IntRange(min=0), default=0, show_default=True,
                  help="Which stationary amplitude to use, by increasing value."),
     click.option("--bandwidth-mhz", type=float, default=DEFAULT_BANDWIDTH_MHZ,
                  show_default=True, help="Collision reporting bandwidth."),
@@ -366,7 +369,7 @@ def _write_resonance_curves(pair: PairSpec, pulse: BichromaticPulse, path: Path)
     amps = np.linspace(0.05, 0.9, 64)
     fbars = {
         ch: avg_frequency_slopes(
-            fourier_coefficients(pair.modulated, channel=ch),
+            ladder_curve(pair.modulated, channel=ch),
             pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, amps,
         )[0]
         for ch in ("f01", "f12")
@@ -430,6 +433,19 @@ def chevron(run: RunContext, pair_arg, gate, k, p, alpha, theta, phi_dc, root_in
     click.echo(f"-> {out}")
 
 
+def _probe_freqs(probes: str) -> tuple[float, ...]:
+    """Probe frequencies (MHz) from the comma-separated --probes value."""
+    try:
+        freqs = tuple(float(x) for x in probes.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--probes must be comma-separated numbers in MHz, got {probes!r}"
+        ) from None
+    if not all(math.isfinite(f) for f in freqs):
+        raise ValidationError(f"--probes must be finite frequencies in MHz, got {probes!r}")
+    return freqs
+
+
 @main.command()
 @click.option("--scenario", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Virtual hardware scenario JSON; overrides the synthetic one.")
@@ -471,7 +487,7 @@ def calibrate(run: RunContext, scenario, qubit, hidden_theta0_rad, noise_khz,
         theta_rad=theta * TURN, p=p,
     )
     if probes is not None:
-        probe_freqs = tuple(float(x) for x in probes.split(","))
+        probe_freqs = _probe_freqs(probes)
     else:
         lo, hi = hw.transfer.band_mhz
         base = np.linspace(max(lo, 0.5 * fm_mhz), min(hi, 1.5 * p * fm_mhz), 12)

@@ -122,4 +122,8 @@ class TruncationTooCoarse(NumericalError):
 
 
 class CutoffTooSmall(NumericalError):
-    """Harmonic cutoff too small: the series tail is still significant."""
+    """A truncation hit its cap while its tail is still significant.
+
+    Raised for a harmonic cutoff, a Chebyshev degree or a quadrature node
+    count.
+    """

@@ -36,13 +36,13 @@ from .errors import (
 )
 from .modulation import (
     OperatingPoint,
-    avg_frequency_slopes,
     operating_point,
+    pulse_slopes,
     sideband_weights,
     sweet_spot_solve,
 )
 from .pulses import BichromaticPulse
-from .transmon import TransmonSpec, fourier_coefficients, transition_frequencies
+from .transmon import TransmonSpec, transition_frequencies
 
 __all__ = [
     "GateType",
@@ -131,14 +131,10 @@ def _target_freq_ghz(pair: PairSpec, gate_type: GateType) -> float:
 
 
 def _ladder_fbar_ghz(pair: PairSpec, point: OperatingPoint, channel: str) -> float:
+    # the point already holds the f01 average
     if channel == "f01":
         return point.f_bar_ghz
-    pulse = point.pulse
-    fbar, _, _ = avg_frequency_slopes(
-        fourier_coefficients(pair.modulated, channel=channel),
-        pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, [pulse.phi_ac_phi0],
-    )
-    return float(fbar[0])
+    return pulse_slopes(pair.modulated, point.pulse, channel)[0]
 
 
 def _reachable_fms(

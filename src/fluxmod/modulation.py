@@ -2,12 +2,13 @@
 
 Under flux modulation the qubit precesses at its time-averaged transition
 frequency, and the drive redistributes coupling into sidebands spaced by
-the modulation frequency.  This module computes the average frequency two
-independent ways (direct quadrature of the diagonalized frequency curve,
-and a Bessel-function closed form built on the cosine series), locates
-operating points where the average is first-order insensitive to both
-flux knobs, maps such points over the control plane, and extracts the
-complex sideband weights that set parametric gate speed.
+the modulation frequency.  This module computes the average frequency by
+quadrature of each ladder's Chebyshev flux curve (the kernel every solver
+uses), checks it two independent ways (quadrature of the diagonalized
+frequency itself, and a Bessel-function closed form built on the cosine
+series), locates operating points where the average is first-order
+insensitive to both flux knobs, maps such points over the control plane,
+and extracts the complex sideband weights that set parametric gate speed.
 
 Conventions: frequencies in GHz, flux in flux quanta, sensitivities in
 GHz per flux quantum.  A point counts as a dynamical sweet spot when both
@@ -27,15 +28,21 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import jv
 
+from .numerics import bracketed_newton, interpolate, lobatto_points
 from .errors import (
     CutoffTooSmall,
     NoRoot,
-    NumericalError,
     ValidationError,
     require_finite,
 )
 from .pulses import BichromaticPulse
-from .transmon import FourierSeries, TransmonSpec, fourier_coefficients, transition_frequencies
+from .transmon import (
+    FourierSeries,
+    LadderCurve,
+    TransmonSpec,
+    ladder_curve,
+    transition_frequencies,
+)
 
 __all__ = [
     "SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0",
@@ -47,6 +54,7 @@ __all__ = [
     "avg_frequency_timedomain",
     "avg_frequency_bessel",
     "avg_frequency_slopes",
+    "pulse_slopes",
     "sensitivities",
     "operating_point",
     "dephasing_proxy",
@@ -58,7 +66,11 @@ __all__ = [
 # 50 kHz per flux quantum, on both knobs
 SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0 = 5e-5
 
+# Averaging quadrature: fewest and most nodes per period, and the bound on
+# the aliasing error of f_bar (GHz) that picks the count in between
 _QUAD_NODES = 512
+_MAX_QUAD_NODES = 1 << 15
+_ALIAS_TOL = 1e-11
 
 # Sweet-spot root finder: first and largest degree of the Chebyshev proxy
 # of the phi_ac slope, the relative size of its last three coefficients
@@ -69,38 +81,70 @@ _PROXY_TAIL = 1e-7
 _NEWTON_MAX_STEPS = 100
 
 
+@lru_cache(maxsize=32)
 def _drive(p: int, alpha: float, theta: float, nodes: int) -> np.ndarray:
-    """Unit-amplitude two-tone drive on a uniform grid over one period."""
+    """Unit-amplitude two-tone drive on a uniform grid over one period.
+
+    Cached, since a solve or a plan evaluates one pulse shape many times;
+    the array is shared and read-only.
+    """
     tau = np.arange(nodes) / nodes
-    return math.cos(alpha) * np.cos(2.0 * np.pi * tau) + math.sin(alpha) * np.cos(
+    drive = math.cos(alpha) * np.cos(2.0 * np.pi * tau) + math.sin(alpha) * np.cos(
         2.0 * np.pi * p * tau + theta
     )
+    drive.flags.writeable = False
+    return drive
 
 
-def _node_series(
-    coeffs: np.ndarray, phi: np.ndarray, slope: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Series value sum c_n cos(n phi) at every angle, and with ``slope``
-    also sum n c_n sin(n phi), which is minus its derivative in phi.
+@lru_cache(maxsize=256)
+def _bandwidth_limit(curve: LadderCurve, p: int, nodes: int) -> float:
+    """Largest Carson bandwidth per harmonic for which ``nodes`` nodes alias
+    by at most _ALIAS_TOL into f_bar.
 
-    The n-th harmonic is accumulated with iterated complex powers of
-    exp(i phi) instead of n calls to cos; sin(n phi) is the imaginary part
-    of the same power.  Work stays on arrays of phi's shape.
+    Harmonic n of the curve's cosine series, c_n cos(2 pi n flux), under a
+    drive of Carson bandwidth b = 2 pi amp (|cos alpha| + p |sin alpha|)
+    has Fourier coefficients in time that a Cauchy estimate on the strip
+    |Im tau| <= s / (2 pi p) bounds by exp(n b sinh(s) / p - k s / p) at
+    order k; minimized over s this is exp(-g / p) with
+    g = k acosh(k / (n b)) - sqrt(k^2 - (n b)^2) for k > n b, else 0.  The
+    rectangle rule on ``nodes`` points misses the orders +-nodes, so the
+    bound is 2 sum_n |c_n| exp(-g(n b, nodes) / p), increasing in b; the
+    limit is found by bisection, once per (curve, p, node count).
     """
-    w = np.exp(1j * phi)
-    wn = w.copy()
-    f = np.full(phi.shape, coeffs[0])
-    g = np.zeros(phi.shape) if slope else None
-    for n, c in enumerate(coeffs[1:], start=1):
-        f += c * wn.real
-        if slope:
-            g += (n * c) * wn.imag
-        wn *= w
-    return f, g
+    mags = curve.harmonics
+    n = np.arange(1, mags.size + 1)
+
+    def alias(b: float) -> float:
+        beta = np.minimum(n * b, nodes)
+        g = nodes * np.arccosh(nodes / beta) - np.sqrt(nodes * nodes - beta * beta)
+        return 2.0 * float(np.sum(mags * np.exp(-g / p)))
+
+    lo, hi = 0.0, float(nodes)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if alias(mid) <= _ALIAS_TOL else (lo, mid)
+    return lo
+
+
+def _quadrature_nodes(curve: LadderCurve, p: int, alpha: float, amp_max: float) -> int:
+    """Nodes per period for the average: 512, doubled while the aliasing
+    bound of _bandwidth_limit exceeds _ALIAS_TOL at the largest amplitude."""
+    if p < 1:
+        raise ValidationError("tone multiplier p must be an integer >= 1")
+    bandwidth = 2.0 * np.pi * amp_max * (abs(math.cos(alpha)) + p * abs(math.sin(alpha)))
+    nodes = _QUAD_NODES
+    while bandwidth > _bandwidth_limit(curve, p, nodes):
+        nodes *= 2
+        if nodes > _MAX_QUAD_NODES:
+            raise CutoffTooSmall(
+                f"averaging needs more than {_MAX_QUAD_NODES} nodes per period "
+                f"at p={p}, amplitude {amp_max:g}"
+            )
+    return nodes
 
 
 def avg_frequency_slopes(
-    series: FourierSeries,
+    curve: LadderCurve,
     phi_dc: float,
     p: int,
     alpha_rad: float,
@@ -110,22 +154,25 @@ def avg_frequency_slopes(
     """Average frequency and its two flux slopes for a batch of ac amplitudes.
 
     Returns (f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc), each with one
-    entry per amplitude, in GHz and GHz per flux quantum, from the cosine
-    series.  Rectangle rule on a uniform grid of 512 nodes over one
-    fundamental period, which is spectrally exact for the periodic
-    integrand.  The n-th harmonic of the series is accumulated with
-    iterated complex powers instead of n calls to cos, so a full amplitude
-    scan costs one (amps x nodes) array pass.  The slopes are exact
-    derivatives of the same quadrature, not finite differences, and come
-    out of that same pass.
+    entry per amplitude, in GHz and GHz per flux quantum, for the ladder
+    of ``curve`` (ladder_curve).  Rectangle rule on a uniform grid over one
+    fundamental period, spectrally exact for the periodic integrand; the
+    node count is 512, doubled only where an a-priori aliasing bound at
+    the batch's largest amplitude exceeds 1e-11 GHz (CutoffTooSmall past
+    32768).  The curve and its flux slope are summed by Clenshaw
+    recurrence at every (amplitude, node) at once, so a full amplitude scan
+    is one batched evaluation.  The slopes are exact derivatives of the
+    same quadrature, not finite differences.
     """
-    nodes = _QUAD_NODES
-    drive = _drive(p, alpha_rad, theta_rad, nodes)
     amps = np.atleast_1d(np.asarray(amps, dtype=float))
-    phi = 2.0 * np.pi * (phi_dc + np.multiply.outer(amps, drive))
-    f, g = _node_series(series.as_array(), phi, slope=True)
+    nodes = _quadrature_nodes(curve, p, alpha_rad, float(np.max(np.abs(amps), initial=0.0)))
+    drive = _drive(p, alpha_rad, theta_rad, nodes)
+    phi = np.multiply.outer(amps, drive)
+    phi += phi_dc
+    phi *= 2.0 * np.pi
+    f, g = curve.at_phase(phi, slope=True)
     # d phi / d phi_ac = 2 pi drive and d phi / d phi_dc = 2 pi
-    scale = -2.0 * np.pi / nodes
+    scale = 2.0 * np.pi / nodes
     return f.mean(axis=1), scale * (g @ drive), scale * g.sum(axis=1)
 
 
@@ -138,8 +185,9 @@ def avg_frequency_timedomain(
     """Average transition frequency by direct quadrature over one period.
 
     Diagonalizes the Hamiltonian at every time sample and integrates with
-    a composite Simpson rule.  This route never touches the cosine-series
-    machinery, so it serves as an independent check on the closed form.
+    a composite Simpson rule.  This route never touches the Chebyshev
+    curve or the cosine series, so it serves as an independent check on
+    both the kernel and the closed form.
     """
     if nodes < 2048:
         raise ValidationError("need at least 2048 quadrature nodes")
@@ -194,11 +242,13 @@ class Sensitivities:
     dfbar_ddc_ghz_per_phi0: float
 
 
-def _pulse_slopes(
-    spec: TransmonSpec, pulse: BichromaticPulse
+def pulse_slopes(
+    spec: TransmonSpec, pulse: BichromaticPulse, channel: str = "f01"
 ) -> tuple[float, float, float]:
+    """(f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc) of one pulse on one
+    ladder: avg_frequency_slopes at the pulse's amplitude."""
     fbar, dac, ddc = avg_frequency_slopes(
-        fourier_coefficients(spec),
+        ladder_curve(spec, channel),
         pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, [pulse.phi_ac_phi0],
     )
     return float(fbar[0]), float(dac[0]), float(ddc[0])
@@ -206,7 +256,7 @@ def _pulse_slopes(
 
 def sensitivities(spec: TransmonSpec, pulse: BichromaticPulse) -> Sensitivities:
     """Flux sensitivities of the average frequency at one pulse setting."""
-    _, dac, ddc = _pulse_slopes(spec, pulse)
+    _, dac, ddc = pulse_slopes(spec, pulse)
     return Sensitivities(dac, ddc)
 
 
@@ -232,7 +282,7 @@ def operating_point(
     alone is not enough when the dc bias sits off a parity-protected
     point.
     """
-    fbar, dac, ddc = _pulse_slopes(spec, pulse)
+    fbar, dac, ddc = pulse_slopes(spec, pulse)
     sweet = abs(dac) < threshold_ghz_per_phi0 and abs(ddc) < threshold_ghz_per_phi0
     return OperatingPoint(
         pulse=pulse,
@@ -264,17 +314,6 @@ def dephasing_proxy(point: OperatingPoint, noise: NoiseModel = NoiseModel()) -> 
     )
 
 
-def _lobatto_amps(window: tuple[float, float], n: int, odd_only: bool) -> np.ndarray:
-    """Amplitudes at the Chebyshev-Lobatto points cos(pi j / n) of the window.
-
-    With ``odd_only`` just the odd j, the points that degree n adds to
-    degree n / 2.
-    """
-    lo, hi = window
-    j = np.arange(1, n, 2) if odd_only else np.arange(n + 1)
-    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * j / n)
-
-
 def _slope_proxy(
     slope: Callable[[np.ndarray], np.ndarray], window: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,25 +326,18 @@ def _slope_proxy(
     times the largest; the tail bounds the proxy's error, so a root pair
     is lost only where the slope never leaves that band between them.
     """
-    n = _PROXY_DEGREE
-    values = slope(_lobatto_amps(window, n, odd_only=False))
-    while True:
-        # values at cos(pi j / n) are a real-even sequence of period 2n
-        coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
-        coeffs[[0, n]] *= 0.5
-        scale = np.max(np.abs(coeffs))
-        if np.max(np.abs(coeffs[-3:])) <= _PROXY_TAIL * scale:
-            # samples in increasing amplitude
-            return coeffs, _lobatto_amps(window, n, odd_only=False)[::-1], values[::-1]
-        if 2 * n > _PROXY_MAX_DEGREE:
-            raise CutoffTooSmall(
-                f"slope proxy tail {np.max(np.abs(coeffs[-3:])):.2e} GHz/Phi0 "
-                f"still above {_PROXY_TAIL:.0e} of its scale at degree {n}"
-            )
-        merged = np.empty(2 * n + 1)
-        merged[0::2] = values
-        merged[1::2] = slope(_lobatto_amps(window, 2 * n, odd_only=True))
-        values, n = merged, 2 * n
+    lo, hi = window
+
+    def amps(x: np.ndarray) -> np.ndarray:
+        return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+
+    coeffs, values = interpolate(
+        lambda x: slope(amps(x)),
+        lambda c: _PROXY_TAIL * np.max(np.abs(c)),
+        degree=_PROXY_DEGREE, max_degree=_PROXY_MAX_DEGREE, what="slope proxy",
+    )
+    # samples in increasing amplitude
+    return coeffs, amps(lobatto_points(coeffs.size - 1))[::-1], values[::-1]
 
 
 def _sign_change_roots(
@@ -345,7 +377,7 @@ def _sign_change_roots(
 
 
 def _solve(
-    series: FourierSeries,
+    curve: LadderCurve,
     phi_dc: float,
     p: int,
     alpha: float,
@@ -356,16 +388,14 @@ def _solve(
     """(amplitude, f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc) per root."""
     lo, hi = window
 
-    def kernel(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return avg_frequency_slopes(series, phi_dc, p, alpha, theta, amps)
+    def slope(amps: np.ndarray) -> np.ndarray:
+        return avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)[1]
 
-    coeffs, edges, slopes = _slope_proxy(lambda amps: kernel(amps)[1], window)
+    coeffs, edges, slopes = _slope_proxy(slope, window)
     # the negligible tail only slows the colleague-matrix eigensolve
     big = np.nonzero(np.abs(coeffs) > _PROXY_TAIL * np.max(np.abs(coeffs)))[0]
     coeffs = coeffs[: big[-1] + 1] if big.size else coeffs[:1]
-    amps, a, b, s_left = _sign_change_roots(
-        coeffs, edges, slopes, window, lambda amps: kernel(amps)[1]
-    )
+    amps, a, b, s_left = _sign_change_roots(coeffs, edges, slopes, window, slope)
     if not amps.size:
         raise NoRoot(
             f"no stationary amplitude in [{lo}, {hi}] for alpha={alpha:.4f}, "
@@ -373,26 +403,22 @@ def _solve(
         )
 
     # Newton steps on the kernel slope for all roots at once, with the
-    # proxy's derivative as Jacobian.  Each kernel value shrinks its root's
-    # bracket, and a step that would leave the bracket bisects it instead.
+    # proxy's derivative as Jacobian; f_bar and both slopes come from the
+    # last kernel call
     jac_coeffs = np.polynomial.chebyshev.chebder(coeffs) * (2.0 / (hi - lo))
-    for _ in range(_NEWTON_MAX_STEPS):
-        fbar, dac, ddc = kernel(amps)
-        left = dac * s_left > 0.0
-        a, b = np.where(left, amps, a), np.where(left, b, amps)
+
+    def evaluate(amps: np.ndarray) -> tuple[np.ndarray, ...]:
+        fbar, dac, ddc = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)
         jac = np.polynomial.chebyshev.chebval((2.0 * amps - hi - lo) / (hi - lo), jac_coeffs)
-        newton = amps - np.divide(dac, jac, out=np.full_like(dac, np.inf), where=jac != 0.0)
-        step = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b)) - amps
-        step[dac == 0.0] = 0.0
-        if np.all(np.abs(step) < 0.5 * xtol):
-            return [
-                (float(r), float(f), float(d), float(e))
-                for r, f, d, e in zip(amps, fbar, dac, ddc)
-            ]
-        amps = amps + step
-    raise NumericalError(
-        f"sweet-spot polish did not reach xtol={xtol:g} in {_NEWTON_MAX_STEPS} steps"
+        return dac, jac, fbar, dac, ddc
+
+    amps, (fbar, dac, ddc) = bracketed_newton(
+        evaluate, amps, a, b, s_left, 0.5 * xtol,
+        what="sweet-spot polish", max_steps=_NEWTON_MAX_STEPS,
     )
+    return [
+        (float(r), float(f), float(d), float(e)) for r, f, d, e in zip(amps, fbar, dac, ddc)
+    ]
 
 
 def sweet_spot_solve(
@@ -420,10 +446,7 @@ def sweet_spot_solve(
     require_finite(phi_dc=phi_dc, alpha_rad=alpha_rad, theta_rad=theta_rad)
     if not (0.0 <= window[0] < window[1]):
         raise ValidationError("window must satisfy 0 <= lo < hi")
-    roots = _solve(
-        fourier_coefficients(spec),
-        phi_dc, p, alpha_rad, theta_rad, window, xtol,
-    )
+    roots = _solve(ladder_curve(spec), phi_dc, p, alpha_rad, theta_rad, window, xtol)
     return [(amp, fbar) for amp, fbar, _, _ in roots]
 
 
@@ -457,12 +480,12 @@ class AtlasResult:
 
 
 def _atlas_chunk(args: tuple) -> list[tuple[float, float, float, float, float, float]]:
-    (series, phi_dc, p, alphas, thetas, window, xtol) = args
+    (curve, phi_dc, p, alphas, thetas, window, xtol) = args
     rows = []
     for alpha in alphas:
         for theta in thetas:
             try:
-                solutions = _solve(series, phi_dc, p, alpha, theta, window, xtol)
+                solutions = _solve(curve, phi_dc, p, alpha, theta, window, xtol)
             except NoRoot:
                 rows.append((alpha, theta, math.nan, math.nan, math.nan, math.nan))
                 continue
@@ -502,15 +525,15 @@ def sweet_spot_atlas(
         **{f"alpha_grid[{i}]": a for i, a in enumerate(alphas)},
         **{f"theta_grid[{i}]": t for i, t in enumerate(thetas)},
     )
-    series = fourier_coefficients(spec)
+    curve = ladder_curve(spec)
 
     if jobs > 1:
-        chunks = [(series, phi_dc, p, [a], thetas, window, xtol) for a in alphas]
+        chunks = [(curve, phi_dc, p, [a], thetas, window, xtol) for a in alphas]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_alpha = list(pool.map(_atlas_chunk, chunks))
         rows = [row for chunk in per_alpha for row in chunk]
     else:
-        rows = _atlas_chunk((series, phi_dc, p, alphas, thetas, window, xtol))
+        rows = _atlas_chunk((curve, phi_dc, p, alphas, thetas, window, xtol))
 
     points: list[OperatingPoint] = []
     n_no_root = 0
@@ -598,11 +621,7 @@ def _instantaneous_frequency(
     """
     spec = TransmonSpec(ej1_ghz=ej1_ghz, ej2_ghz=ej2_ghz, ec_ghz=ec_ghz)
     drive = _drive(p, alpha, theta, nodes)
-    finst, _ = _node_series(
-        fourier_coefficients(spec, channel=channel).as_array(),
-        2.0 * np.pi * (phi_dc + phi_ac * drive),
-        slope=False,
-    )
+    finst, _ = ladder_curve(spec, channel).at_phase(2.0 * np.pi * (phi_dc + phi_ac * drive))
     finst.flags.writeable = False
     return finst
 

@@ -5,12 +5,15 @@ reduces to one curve: the transition frequency as a function of total flux
 through the SQUID loop.  This module owns that curve.  It diagonalizes the
 transmon Hamiltonian in the charge basis, fits junction parameters to the
 three numbers a characterization run actually produces (top of the band,
-bottom of the band, anharmonicity), and compresses the resulting curve into
-a short cosine series that the modulation analysis consumes.
+bottom of the band, anharmonicity), and represents each ladder's curve by
+a Chebyshev series in u = sqrt(EJ_eff) that the modulation analysis
+evaluates.
 
 Units: energies and frequencies in GHz, flux in units of the flux quantum.
-The frequency curve is periodic in flux with period 1 and even around 0,
-so a plain cosine series represents it exactly.
+The Hamiltonian depends on flux only through the effective Josephson
+energy EJ_eff (Koch et al., PRA 76, 042319, 2007), so each transition
+frequency is a smooth function of EJ_eff on [EJ1 - EJ2, EJ1 + EJ2], and in
+sqrt(EJ_eff) it is nearly linear across the whole band.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +35,13 @@ from .errors import (
     require_finite,
     require_number,
 )
+from .numerics import clenshaw, interpolate
 
 __all__ = [
     "TransmonSpec",
     "FourierSeries",
     "FrequencyCurve",
+    "LadderCurve",
     "Device",
     "DevicePair",
     "ej_eff",
@@ -44,6 +49,7 @@ __all__ = [
     "fit_spec",
     "fourier_coefficients",
     "frequency_curve",
+    "ladder_curve",
     "load_device",
 ]
 
@@ -128,6 +134,14 @@ def _required_cutoff(spec: TransmonSpec) -> int:
     return max(5, math.ceil(5.0 * zeta))
 
 
+def _check_cutoff(spec: TransmonSpec, n_charge: int = 20) -> None:
+    if n_charge < _required_cutoff(spec):
+        raise TruncationTooCoarse(
+            f"charge cutoff {n_charge} too small for EJ/EC ratio; "
+            f"need at least {_required_cutoff(spec)}"
+        )
+
+
 def transition_frequencies(
     spec: TransmonSpec,
     flux_phi0: np.ndarray | float,
@@ -145,11 +159,7 @@ def transition_frequencies(
     parity order.  The flux argument may be an array; the diagonalization
     is batched over it.  f12 - f01 is negative for any transmon-regime spec.
     """
-    if n_charge < _required_cutoff(spec):
-        raise TruncationTooCoarse(
-            f"charge cutoff {n_charge} too small for EJ/EC ratio; "
-            f"need at least {_required_cutoff(spec)}"
-        )
+    _check_cutoff(spec, n_charge)
     scalar = np.isscalar(flux_phi0)
     flux = np.atleast_1d(np.asarray(flux_phi0, dtype=float))
     hop = -0.5 * np.atleast_1d(ej_eff(spec, flux))[:, None]
@@ -236,8 +246,11 @@ def fit_spec(
 
     # transmon asymptotics: f01 ~ sqrt(8 EJ EC) - EC, anharm ~ -EC
     ec = -anharm_ghz
-    ej_top = (f01_max_ghz + ec) ** 2 / (8.0 * ec)
-    ej_bot = (f01_min_ghz + ec) ** 2 / (8.0 * ec)
+    try:
+        ej_top = (f01_max_ghz + ec) ** 2 / (8.0 * ec)
+        ej_bot = (f01_min_ghz + ec) ** 2 / (8.0 * ec)
+    except OverflowError:
+        raise FitDivergence("band edges too large for the transmon model") from None
     x = np.array([(ej_top + ej_bot) / 2.0, (ej_top - ej_bot) / 2.0, ec])
 
     tol = np.array([f_tol_ghz, f_tol_ghz, anharm_tol_ghz])
@@ -273,23 +286,155 @@ def fit_spec(
     raise FitDivergence(f"no convergence after {max_iter} iterations")
 
 
+# Chebyshev curve of each ladder in u = sqrt(EJ_eff): first degree, the
+# size of its last three coefficients (GHz) below which it is accepted, a
+# cap on the degree, where the build costs as much as the 1025-flux
+# half-period diagonalization it replaced, and the largest sum of trailing
+# coefficients (GHz) left out when the series is summed
+_CURVE_DEGREE = 8
+_CURVE_TAIL = 1e-13
+_CURVE_MAX_DEGREE = 1024
+_CURVE_CHOP = 1e-14
+
+
+@dataclass(frozen=True, eq=False)
+class LadderCurve:
+    """One transition frequency as a Chebyshev series in u = sqrt(EJ_eff).
+
+    ``coefficients`` are those of the frequency (GHz) on x in [-1, 1],
+    mapped linearly onto u in [sqrt(EJ1 - EJ2), sqrt(EJ1 + EJ2)].  Built
+    by ladder_curve, one object per junction-energy triple and channel,
+    so curves compare by identity.
+    """
+
+    ej1_ghz: float
+    ej2_ghz: float
+    ec_ghz: float
+    channel: str
+    coefficients: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        return self.coefficients.size - 1
+
+    @cached_property
+    def _clenshaw_series(self) -> tuple[np.ndarray, np.ndarray]:
+        # The series at_phase sums: the coefficients without the trailing run
+        # whose magnitudes add up to at most _CURVE_CHOP (|T_k| <= 1, so no
+        # value moves by more), and d/dx of that series times the constant
+        # part of dx/dphi.
+        tail = np.cumsum(np.abs(self.coefficients[::-1]))[::-1]
+        series = self.coefficients[: max(2, int(np.count_nonzero(tail > _CURVE_CHOP)))]
+        e1, e2 = self.ej1_ghz, self.ej2_ghz
+        scale = -e1 * e2 / (math.sqrt(e1 + e2) - math.sqrt(e1 - e2))
+        return series, np.polynomial.chebyshev.chebder(series) * scale
+
+    def at_phase(
+        self, phi: np.ndarray, slope: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Frequency at the angular flux ``phi`` = 2 pi flux, and with
+        ``slope`` also its derivative in phi (GHz per radian).
+
+        EJ_eff^2 comes from cos phi, clipped below at (EJ1 - EJ2)^2 against
+        round-off; the series is summed by Clenshaw recurrence, and the
+        slope is the chain rule through u(EJ_eff(phi)) on a second Clenshaw
+        sum of the derivative series.
+        """
+        e1, e2 = self.ej1_ghz, self.ej2_ghz
+        lo, hi = math.sqrt(e1 - e2), math.sqrt(e1 + e2)
+        ej = np.cos(phi)
+        ej *= 2.0 * e1 * e2
+        ej += e1 * e1 + e2 * e2
+        np.maximum(ej, (e1 - e2) ** 2, out=ej)
+        np.sqrt(ej, out=ej)
+        u = np.sqrt(ej)
+        x = u - 0.5 * (hi + lo)
+        x *= 2.0 / (hi - lo)
+        series, slope_series = self._clenshaw_series
+        f = clenshaw(series, x)
+        if not slope:
+            return f, None
+        # dx/dphi = (2 / (hi - lo)) du/dphi and du/dphi = -e1 e2 sin(phi) / (2 u EJ_eff)
+        dfdphi = clenshaw(slope_series, x)
+        dfdphi *= np.sin(phi)
+        u *= ej
+        if e1 == e2:  # EJ_eff vanishes at half flux, where the slope is zero, not 0/0
+            u[u == 0.0] = np.inf
+        dfdphi /= u
+        return f, dfdphi
+
+    def evaluate(self, flux_phi0: np.ndarray) -> np.ndarray:
+        """Frequency (GHz) at each given flux (units of the flux quantum)."""
+        return self.at_phase(2.0 * np.pi * np.atleast_1d(np.asarray(flux_phi0, dtype=float)))[0]
+
+    def cosine_coefficients(self, samples: int) -> np.ndarray:
+        """Cosine coefficients c_n, n = 0..samples // 2, projected from
+        ``samples`` uniform fluxes over one period with one real FFT."""
+        coeffs = np.fft.rfft(self.evaluate(np.arange(samples) / samples)).real / samples
+        coeffs[1:] *= 2.0
+        return coeffs
+
+    @cached_property
+    def harmonics(self) -> np.ndarray:
+        """|c_n| for n = 1.. of the cosine series, up to the last above
+        1e-15 GHz (the projection's round-off floor)."""
+        mags = np.abs(self.cosine_coefficients(4096)[1:])
+        big = np.nonzero(mags > 1e-15)[0]
+        return mags[: big[-1] + 1 if big.size else 1].copy()
+
+
 @lru_cache(maxsize=128)
-def _cached_series(
-    ej1_ghz: float, ej2_ghz: float, ec_ghz: float, n_terms: int, samples: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # the curve is even and periodic, so the half period k = 0..samples//2
-    # determines every sample: f(k / samples) = f(min(k, samples - k) / samples)
+def _ladder_curves(ej1_ghz: float, ej2_ghz: float, ec_ghz: float) -> tuple[LadderCurve, ...]:
+    # nested Chebyshev-Lobatto samples in u, each one diagonalization at the
+    # fluxes where EJ_eff = u^2; both ladders come from the same solves
     spec = TransmonSpec(ej1_ghz=ej1_ghz, ej2_ghz=ej2_ghz, ec_ghz=ec_ghz)
-    k = np.arange(samples)
-    half = transition_frequencies(spec, np.arange(samples // 2 + 1) / samples)
-    phi = 2.0 * np.pi * k / samples
-    out = []
-    for f in (curve[np.minimum(k, samples - k)] for curve in half):
-        coeffs = [float(np.mean(f))]
-        for n in range(1, n_terms + 1):
-            coeffs.append(float(2.0 * np.mean(f * np.cos(n * phi))))
-        out.append(tuple(coeffs))
-    return out[0], out[1]
+    _check_cutoff(spec)
+    lo, hi = math.sqrt(ej1_ghz - ej2_ghz), math.sqrt(ej1_ghz + ej2_ghz)
+
+    def sample(x: np.ndarray) -> np.ndarray:
+        ej = (0.5 * (hi + lo) + 0.5 * (hi - lo) * x) ** 2
+        cos = (ej * ej - ej1_ghz**2 - ej2_ghz**2) / (2.0 * ej1_ghz * ej2_ghz)
+        flux = np.arccos(np.clip(cos, -1.0, 1.0)) / (2.0 * np.pi)
+        return np.array(transition_frequencies(spec, flux))
+
+    coeffs, _ = interpolate(
+        sample, lambda c: _CURVE_TAIL, degree=_CURVE_DEGREE,
+        max_degree=_CURVE_MAX_DEGREE, what="frequency curve in sqrt(EJ_eff)",
+    )
+    for c in coeffs:
+        c.flags.writeable = False
+    return tuple(
+        LadderCurve(ej1_ghz, ej2_ghz, ec_ghz, channel, c)
+        for channel, c in zip(("f01", "f12"), coeffs)
+    )
+
+
+def _channel_index(channel: str) -> int:
+    if channel not in ("f01", "f12"):
+        raise ValidationError(f"unknown channel {channel!r}; use 'f01' or 'f12'")
+    return ("f01", "f12").index(channel)
+
+
+def ladder_curve(spec: TransmonSpec, channel: str = "f01") -> LadderCurve:
+    """The flux curve of one ladder (f01 or f12) as a Chebyshev series.
+
+    Built once per junction-energy triple and shared by both channels
+    and every label: interpolation in u = sqrt(EJ_eff) at nested
+    Chebyshev-Lobatto points, starting at degree 8 and doubling until
+    either ladder's last three coefficients are at most 1e-13 GHz
+    (17 diagonalizations for typical asymmetries, 129 for EJ2/EJ1 = 0.97);
+    past degree 1024 it raises CutoffTooSmall.
+    """
+    index = _channel_index(channel)
+    return _ladder_curves(spec.ej1_ghz, spec.ej2_ghz, spec.ec_ghz)[index]
+
+
+@lru_cache(maxsize=256)
+def _cosine_series(
+    ej1_ghz: float, ej2_ghz: float, ec_ghz: float, index: int, n_terms: int, samples: int
+) -> tuple[float, ...]:
+    curve = _ladder_curves(ej1_ghz, ej2_ghz, ec_ghz)[index]
+    return tuple(curve.cosine_coefficients(samples)[: n_terms + 1].tolist())
 
 
 def fourier_coefficients(
@@ -301,21 +446,22 @@ def fourier_coefficients(
 ) -> FourierSeries:
     """Cosine coefficients of the flux-periodic transition frequency.
 
-    The curve is even and periodic, so projecting onto cos(n phi) with a
-    uniform trapezoid rule is spectrally accurate; 4096 samples push the
-    projection error to machine noise.  Coefficients decay geometrically,
-    about a factor 7 per harmonic for typical asymmetries, so 24 terms
-    reach the 1e-15 GHz floor.  Results come from one half-period
-    diagonalization per junction-energy triple, shared by both channels.
+    A projection of the ladder's Chebyshev curve (ladder_curve): the curve
+    is sampled at ``samples`` uniform fluxes and one real FFT gives the
+    coefficients, with no diagonalization of its own.  The truncated
+    series is exact to round-off only where the coefficients have decayed
+    by ``n_terms``, a factor of about 7 per harmonic for typical
+    asymmetries; for near-symmetric SQUIDs it is not (c_24 is 2.8e-4 GHz
+    at EJ2/EJ1 = 0.84).  It feeds the Bessel closed form, an independent
+    check; the averaging kernel evaluates the curve itself.
     """
     if n_terms < 4:
         raise ValidationError("need at least 4 harmonics to represent the curve")
-    if channel not in ("f01", "f12"):
-        raise ValidationError(f"unknown channel {channel!r}; use 'f01' or 'f12'")
+    index = _channel_index(channel)
     if samples < 16 * n_terms:
         raise ValidationError("sampling too coarse for the requested harmonic count")
-    series = _cached_series(spec.ej1_ghz, spec.ej2_ghz, spec.ec_ghz, n_terms, samples)
-    return FourierSeries(coefficients=series[("f01", "f12").index(channel)], channel=channel)
+    series = _cosine_series(spec.ej1_ghz, spec.ej2_ghz, spec.ec_ghz, index, n_terms, samples)
+    return FourierSeries(coefficients=series, channel=channel)
 
 
 @dataclass(frozen=True)

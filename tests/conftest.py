@@ -1,8 +1,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from fluxmod import BichromaticPulse, PairSpec, fit_spec
+
+# every property test draws the same examples on every run, has no
+# per-example deadline and writes no example database
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 # band-edge characterization data for the four study qubits:
 # (f01 at zero flux, f01 at half flux, anharmonicity at zero flux), GHz

@@ -122,6 +122,30 @@ class TestCalibrateTransferFunction:
         for f, t in zip(est.freqs_mhz, est.transmission):
             assert t == pytest.approx(float(hw.transfer.at(f)), rel=1e-6)
 
+    def test_known_table_recovered_in_a_few_batched_kernel_calls(self, q3, monkeypatch):
+        import fluxmod.calibration as calibration
+
+        table = TransferFunction(
+            freqs_mhz=(10.0, 60.0, 120.0, 200.0, 320.0, 500.0),
+            transmission=(0.97, 1.02, 0.88, 0.71, 0.55, 0.31),
+        )
+        hw = VirtualHardware(spec=q3, transfer=table)
+        probes = tuple(np.linspace(15.0, 480.0, 14))
+        kernel, batches = calibration.avg_frequency_slopes, []
+
+        def counting(*args, **kwargs):
+            batches.append(np.size(args[-1]))
+            return kernel(*args, **kwargs)
+
+        # only the inversion's own kernel calls go through this binding
+        monkeypatch.setattr(calibration, "avg_frequency_slopes", counting)
+        est = calibrate_transfer_function(hw, probes)
+        for f, t in zip(est.freqs_mhz, est.transmission):
+            assert abs(t - float(table.at(f))) <= 1e-12
+        # the band edges, then one batch of all 14 levels per Newton step
+        assert batches[0] == 2 and set(batches[1:]) == {14}
+        assert len(batches) <= 10
+
     def test_probe_amplitude_guards(self, q1):
         hw = VirtualHardware(spec=q1)
         probes = (30.0, 80.0, 150.0, 250.0)

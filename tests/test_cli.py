@@ -340,6 +340,10 @@ def _device_with(qubit_q1=None, pair=None):
             ("calibrate", "--scenario", "SCENARIO"),
             "noise_khz",
         ),
+        (None, ("atlas", "--qubit", "q1", "--alpha-points", "-1"), "--alpha-points"),
+        (None, ("atlas", "--qubit", "q1", "--theta-points", "0"), "--theta-points"),
+        (None, ("calibrate", "--qubit", "q1", "--probes", "abc"), "--probes"),
+        (None, ("calibrate", "--qubit", "q1", "--probes", "30,inf,150,250"), "--probes"),
     ],
     ids=[
         "alpha-nan", "fm-nan", "pair-no-coupling", "qubit-no-ej2", "f01-max-nan",
@@ -348,6 +352,8 @@ def _device_with(qubit_q1=None, pair=None):
         "self-pair", "duplicate-pair", "tls-not-list", "pair-unknown-key",
         "qubit-unknown-key", "top-level-unknown-key", "scenario-no-ej2",
         "scenario-string-number", "scenario-seed-string", "scenario-unknown-key",
+        "atlas-alpha-points-negative", "atlas-theta-points-zero", "probes-not-numbers",
+        "probes-not-finite",
     ],
 )
 def test_bad_input_exits_2_naming_it(runner, device_file, tmp_path, device, args, named):

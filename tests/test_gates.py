@@ -18,8 +18,8 @@ from fluxmod import (
     chevron_simulate,
     effective_coupling,
     enumerate_resonances,
-    fourier_coefficients,
     gate_duration,
+    ladder_curve,
     operating_point,
     optimize_weight,
     plan_gate,
@@ -67,7 +67,7 @@ class TestResonanceFm:
         # the 02 crossing sits on the f12 ladder, below the f01 one
         fbar12 = float(
             avg_frequency_slopes(
-                fourier_coefficients(q1, channel="f12"), 0.0, 1, 0.0, 0.0,
+                ladder_curve(q1, channel="f12"), 0.0, 1, 0.0, 0.0,
                 [mono_point.pulse.phi_ac_phi0],
             )[0][0]
         )
@@ -196,7 +196,7 @@ class TestCollisions:
         )
         fbar12 = float(
             avg_frequency_slopes(
-                fourier_coefficients(q1, channel="f12"), 0.0, 1, 0.0, 0.0,
+                ladder_curve(q1, channel="f12"), 0.0, 1, 0.0, 0.0,
                 [mono_point.pulse.phi_ac_phi0],
             )[0][0]
         )

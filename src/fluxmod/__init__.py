@@ -63,6 +63,7 @@ from .modulation import (
     Sensitivities,
     SidebandSpectrum,
     avg_frequency_bessel,
+    avg_frequency_harmonics,
     avg_frequency_slopes,
     avg_frequency_timedomain,
     dephasing_proxy,

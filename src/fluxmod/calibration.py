@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import (
     FlatResponse,
@@ -26,7 +25,12 @@ from .errors import (
     require_finite,
     require_number,
 )
-from .modulation import avg_frequency_slopes, pulse_slopes, sweet_spot_solve
+from .modulation import (
+    avg_frequency_harmonics,
+    avg_frequency_slopes,
+    pulse_slopes,
+    sweet_spot_solve,
+)
 from .numerics import bracketed_newton
 from .pulses import (
     BichromaticPulse,
@@ -131,16 +135,6 @@ class Theta0Estimate:
     n_sweeps: int
 
 
-def _model_nu1(spec: TransmonSpec, pulse: BichromaticPulse) -> float:
-    """First theta-harmonic of the averaged frequency at given amplitudes."""
-    coeffs = fourier_coefficients(spec).as_array()
-    n = np.arange(coeffs.size)
-    a1 = 2.0 * np.pi * pulse.amp_fundamental_phi0
-    ap = 2.0 * np.pi * pulse.amp_multiple_phi0
-    phase = np.cos(2.0 * np.pi * pulse.phi_dc_phi0 * n + (pulse.p + 1) * (np.pi / 2.0))
-    return float(2.0 * np.sum(coeffs * phase * jv(pulse.p, n * a1) * jv(1, n * ap)))
-
-
 def _theta0_from_sweep(
     hw: VirtualHardware,
     template: BichromaticPulse,
@@ -177,7 +171,7 @@ def _theta0_from_sweep(
     # the model supplies that sign at the tone amplitudes the qubit sees,
     # which the line attenuation can move across a zero of the harmonic
     seen = template if transfer is None else distort_pulse(template, transfer)
-    if _model_nu1(hw.spec, seen) < 0.0:
+    if avg_frequency_harmonics(fourier_coefficients(hw.spec), seen, 1)[1] < 0.0:
         delta += math.pi
     theta0 = wrap_angle(delta) / (1 - template.p)
     half = math.pi / (template.p - 1)

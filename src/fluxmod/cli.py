@@ -258,7 +258,7 @@ def _build_plan(run: RunContext, pair_arg, gate, k, p, alpha, theta, phi_dc,
     gate_type = GateType(gate)
     if optimize:
         return pair, optimize_weight(
-            pair.modulated, pair, p, k,
+            pair, p, k,
             gate_type=gate_type,
             phi_dc=phi_dc,
             grid_shape=(grid, grid),
@@ -374,14 +374,15 @@ def _write_resonance_curves(pair: PairSpec, pulse: BichromaticPulse, path: Path)
         )[0]
         for ch in ("f01", "f12")
     }
-    f01n, f12n = transition_frequencies(pair.neighbor, pair.neighbor_phi_dc_phi0)
-    targets = {GateType.ISWAP: f01n, GateType.CZ02: f01n, GateType.CZ20: f12n}
+    targets = dict(
+        zip(("f01", "f12"), transition_frequencies(pair.neighbor, pair.neighbor_phi_dc_phi0))
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gate,k,phi_ac_phi0,fm_mhz\n")
         for gt in GateType:
             ladder = fbars[gt.ladder_channel]
             for kk in (-8, -6, -4, -2):
-                fm = (targets[gt] - ladder) * 1e3 / kk
+                fm = (targets[gt.neighbor_channel] - ladder) * 1e3 / kk
                 for a, f in zip(amps, fm):
                     if 0.0 < f <= 500.0:
                         fh.write(f"{gt.value},{kk},{a:.12g},{f:.12g}\n")

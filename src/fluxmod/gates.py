@@ -17,6 +17,7 @@ ns, transition frequencies in GHz.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -29,17 +30,15 @@ from scipy.optimize import minimize
 from .errors import (
     NoFeasiblePoint,
     NonPositiveCoupling,
-    NoRoot,
     ValidationError,
     WrongSideband,
     require_finite,
 )
 from .modulation import (
     OperatingPoint,
-    operating_point,
     pulse_slopes,
     sideband_weights,
-    sweet_spot_solve,
+    sweet_spot_atlas,
 )
 from .pulses import BichromaticPulse
 from .transmon import TransmonSpec, transition_frequencies
@@ -83,11 +82,6 @@ class GateType(enum.Enum):
     @property
     def neighbor_channel(self) -> str:
         return "f12" if self is GateType.CZ20 else "f01"
-
-
-# sideband orders and gate families scanned for competing resonances
-_K_SET = tuple(range(-10, 11))
-_GATE_TYPES = (GateType.ISWAP, GateType.CZ02, GateType.CZ20)
 
 
 @dataclass(frozen=True)
@@ -193,22 +187,21 @@ def resonance_fm(
 def enumerate_resonances(
     pair: PairSpec,
     point: OperatingPoint,
-    k_set: tuple[int, ...] = _K_SET,
-    gate_types: tuple[GateType, ...] = _GATE_TYPES,
+    k_window: int = 10,
     max_fm_mhz: float | None = None,
 ) -> dict[tuple[GateType, int], float]:
     """All reachable gate resonances from one operating point.
 
-    Maps (gate type, sideband order) to the required modulation frequency
-    in MHz.  Unreachable combinations are omitted; an optional cap drops
-    resonances beyond the drive band, which can legitimately empty the
-    map.
+    Maps (gate type, sideband order |k| <= k_window) to the required
+    modulation frequency in MHz.  Unreachable combinations are omitted; an
+    optional cap drops resonances beyond the drive band, which can
+    legitimately empty the map.
     """
-    fbars = {
-        ch: _ladder_fbar_ghz(pair, point, ch)
-        for ch in {gt.ladder_channel for gt in gate_types}
-    }
-    return _reachable_fms(pair, fbars, k_set, gate_types, max_fm_mhz)
+    if max_fm_mhz is not None:
+        require_finite(max_fm_mhz=max_fm_mhz)
+    fbars = {ch: _ladder_fbar_ghz(pair, point, ch) for ch in ("f01", "f12")}
+    k_set = tuple(range(-k_window, k_window + 1))
+    return _reachable_fms(pair, fbars, k_set, tuple(GateType), max_fm_mhz)
 
 
 @dataclass(frozen=True)
@@ -305,15 +298,6 @@ def gate_duration(gate_type: GateType, g_eff_mhz: float) -> float:
     return 1e3 / (4.0 * g_eff_mhz)
 
 
-def _spectra_for_checks(pair: PairSpec, pulse: BichromaticPulse, k_window: int):
-    spans = {}
-    for channel in ("f01", "f12"):
-        spans[channel] = sideband_weights(
-            pair.modulated, pulse, (-k_window, k_window), channel=channel
-        )
-    return spans
-
-
 def check_collisions(
     plan: GatePlan,
     pair: PairSpec,
@@ -342,7 +326,10 @@ def check_collisions(
         raise ValidationError("bandwidth must be positive")
     fm_ghz = plan.fm_mhz * 1e-3
     tls_all = tuple(pair.tls_ghz) + tuple(tls_ghz)
-    spectra = _spectra_for_checks(pair, plan.pulse, k_window)
+    spectra = {
+        ch: sideband_weights(pair.modulated, plan.pulse, (-k_window, k_window), channel=ch)
+        for ch in ("f01", "f12")
+    }
     f01n, f12n = _neighbor_freqs(pair)
     own_ladder = plan.gate_type.ladder_channel
     own_target = plan.gate_type.neighbor_channel
@@ -386,7 +373,7 @@ def check_collisions(
 
     fbars = {ch: spectra[ch].f_bar_ghz for ch in spectra}
     k_set = tuple(range(-k_window, k_window + 1))
-    for (gt, kk), fm_alt in _reachable_fms(pair, fbars, k_set, _GATE_TYPES).items():
+    for (gt, kk), fm_alt in _reachable_fms(pair, fbars, k_set, tuple(GateType)).items():
         if gt is plan.gate_type and kk == plan.k:
             continue
         if abs(spectra[gt.ladder_channel].weight(kk)) < weight_floor:
@@ -495,15 +482,24 @@ def chevron_simulate(
     frequency by the sideband order.  Population follows
     amp * sin^2(2 pi sqrt(g^2 + (delta/2)^2) t) with amp the usual
     Lorentzian factor; the sideband weight is held at its on-resonance
-    value across the narrow frequency span.
+    value across the narrow frequency span.  A given half-span must keep
+    every swept modulation frequency positive, and a given hold time must
+    be positive and finite.
     """
     if n_fm < 5 or n_t < 5:
         raise ValidationError("need at least a 5x5 chevron grid")
     g_ghz = plan.g_eff_mhz * 1e-3
     if fm_halfspan_mhz is None:
         fm_halfspan_mhz = 6.4 * plan.g_eff_mhz / abs(plan.k)
+    elif not 0.0 < fm_halfspan_mhz < plan.fm_mhz:
+        raise ValidationError(
+            f"fm_halfspan_mhz must be positive and below the planned {plan.fm_mhz:.6g} MHz "
+            f"drive, got {fm_halfspan_mhz!r}"
+        )
     if t_max_ns is None:
         t_max_ns = 2.0 * plan.duration_ns
+    elif not 0.0 < t_max_ns < math.inf:
+        raise ValidationError(f"t_max_ns must be a positive finite duration, got {t_max_ns!r}")
     fm = plan.fm_mhz + np.linspace(-fm_halfspan_mhz, fm_halfspan_mhz, n_fm)
     t = np.linspace(0.0, t_max_ns, n_t)
     delta_ghz = plan.k * (fm - plan.fm_mhz) * 1e-3
@@ -514,7 +510,6 @@ def chevron_simulate(
 
 
 def optimize_weight(
-    spec: TransmonSpec,
     pair: PairSpec,
     p: int,
     k: int,
@@ -534,69 +529,46 @@ def optimize_weight(
 ) -> GatePlan:
     """Search the control plane for the fastest collision-free gate.
 
-    Evaluates every (alpha, theta) grid node: solve for stationary
-    amplitudes, compute the requested sideband weight at each resulting
-    resonance, and keep the collision-free candidate with the largest
-    weight magnitude.  Ties break toward the lowest alpha, then theta
-    (strict improvement required, ascending scan order).  A Nelder-Mead
-    polish then refines the winning node; the polished point is kept only
-    if it stays feasible.  Raises NoFeasiblePoint when no node survives
-    the frequency cap and collision constraints.
+    Solves every (alpha, theta) grid node of the pair's modulated qubit in
+    one sweet_spot_atlas call, computes the requested sideband weight at
+    the resonance of each stationary amplitude, and keeps the
+    collision-free candidate with the largest weight magnitude.  Ties
+    break toward the lowest alpha, then theta (strict improvement
+    required, ascending scan order).  A Nelder-Mead polish then refines
+    the winning node, each step a one-node atlas; the polished point is
+    kept only if it stays feasible.  Raises NoFeasiblePoint when no node
+    survives the frequency cap and collision constraints.
     """
     require_finite(
         max_fm_mhz=max_fm_mhz,
         bandwidth_mhz=bandwidth_mhz,
         **{f"tls_ghz[{i}]": f for i, f in enumerate(tls_ghz)},
     )
-    if spec != pair.modulated:
-        raise ValidationError("spec must be the pair's modulated qubit")
     n_alpha, n_theta = grid_shape
     if n_alpha < 4 or n_theta < 4:
         raise ValidationError("grid must be at least 4x4")
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
     thetas = np.linspace(theta_range[0], theta_range[1], n_theta, endpoint=False)
+    k_span = max(abs(k), k_window)
 
-    def evaluate(alpha: float, theta: float):
-        """Best collision-unchecked candidate at one node, or None."""
-        try:
-            solutions = sweet_spot_solve(spec, phi_dc, p, alpha, theta, window=window)
-        except NoRoot:
-            return None
-        best_local = None
-        for amp, fbar in solutions:
-            pulse = BichromaticPulse(
-                fm_mhz=100.0,
-                phi_ac_phi0=amp,
-                alpha_rad=float(alpha),
-                theta_rad=float(theta),
-                p=p,
-                phi_dc_phi0=phi_dc,
-            )
-            pt = OperatingPoint(
-                pulse=pulse,
-                f_bar_ghz=fbar,
-                dfbar_dac_ghz_per_phi0=0.0,
-                dfbar_ddc_ghz_per_phi0=0.0,
-                is_sweet_spot=True,
-            )
+    def best_root(points) -> tuple[float, OperatingPoint] | None:
+        """Largest-weight root of one node under the frequency cap, or None."""
+        best = None
+        for pt in points:
             try:
                 fm = resonance_fm(pair, pt, gate_type, k)
             except WrongSideband:
                 continue
             if fm > max_fm_mhz:
                 continue
-            resolved = replace(pulse, fm_mhz=fm)
-            w = abs(
-                sideband_weights(
-                    spec,
-                    resolved,
-                    (-max(abs(k), k_window), max(abs(k), k_window)),
-                    channel=gate_type.ladder_channel,
-                ).weight(k)
+            spectrum = sideband_weights(
+                pair.modulated, replace(pt.pulse, fm_mhz=fm), (-k_span, k_span),
+                channel=gate_type.ladder_channel,
             )
-            if best_local is None or w > best_local[0]:
-                best_local = (w, pt)
-        return best_local
+            w = abs(spectrum.weight(k))
+            if best is None or w > best[0]:
+                best = (w, pt)
+        return best
 
     def feasible_plan(pt: OperatingPoint) -> GatePlan | None:
         plan = plan_gate(
@@ -614,17 +586,20 @@ def optimize_weight(
     best_plan: GatePlan | None = None
     best_weight = 0.0
     best_node = None
-    for alpha in alphas:
-        for theta in thetas:
-            cand = evaluate(float(alpha), float(theta))
-            if cand is None or cand[0] <= best_weight:
-                continue
-            plan = feasible_plan(cand[1])
-            if plan is None:
-                continue
-            best_weight = cand[0]
-            best_plan = plan
-            best_node = (float(alpha), float(theta))
+    grid = sweet_spot_atlas(pair.modulated, phi_dc, p, alphas, thetas, window=window)
+    by_node = itertools.groupby(
+        grid.points, key=lambda pt: (pt.pulse.alpha_rad, pt.pulse.theta_rad)
+    )
+    for node, points in by_node:
+        cand = best_root(points)
+        if cand is None or cand[0] <= best_weight:
+            continue
+        plan = feasible_plan(cand[1])
+        if plan is None:
+            continue
+        best_weight = cand[0]
+        best_plan = plan
+        best_node = node
 
     if best_plan is None:
         raise NoFeasiblePoint(
@@ -636,10 +611,16 @@ def optimize_weight(
         a_step = (alpha_range[1] - alpha_range[0]) / max(n_alpha - 1, 1)
         t_step = (theta_range[1] - theta_range[0]) / n_theta
 
+        def evaluate(x: np.ndarray) -> tuple[float, OperatingPoint] | None:
+            """best_root of the one-node atlas at (alpha, theta) = x, alpha clipped."""
+            alpha = float(np.clip(x[0], alpha_range[0], alpha_range[1]))
+            atlas = sweet_spot_atlas(
+                pair.modulated, phi_dc, p, [alpha], [float(x[1])], window=window
+            )
+            return best_root(atlas.points)
+
         def objective(x: np.ndarray) -> float:
-            a = float(np.clip(x[0], alpha_range[0], alpha_range[1]))
-            th = float(x[1])
-            cand = evaluate(a, th)
+            cand = evaluate(x)
             return -cand[0] if cand is not None else 1.0
 
         res = minimize(
@@ -660,8 +641,7 @@ def optimize_weight(
             },
         )
         if res.fun < -best_weight:
-            a = float(np.clip(res.x[0], alpha_range[0], alpha_range[1]))
-            cand = evaluate(a, float(res.x[1]))
+            cand = evaluate(res.x)
             if cand is not None and cand[0] > best_weight:
                 plan = feasible_plan(cand[1])
                 if plan is not None:

@@ -52,6 +52,7 @@ __all__ = [
     "AtlasResult",
     "SidebandSpectrum",
     "avg_frequency_timedomain",
+    "avg_frequency_harmonics",
     "avg_frequency_bessel",
     "avg_frequency_slopes",
     "pulse_slopes",
@@ -199,21 +200,19 @@ def avg_frequency_timedomain(
     return float(simpson(f, x=tau))
 
 
-def avg_frequency_bessel(
+def avg_frequency_harmonics(
     series: FourierSeries,
     pulse: BichromaticPulse,
-    m_max: int = 48,
-) -> float:
-    """Average frequency from the Bessel-function closed form.
+    m_max: int,
+) -> np.ndarray:
+    """Theta-harmonics of the average frequency, m = 0 .. m_max (GHz).
 
-    Each cosine harmonic of the frequency curve contributes a product of
-    Bessel functions evaluated at the two tone amplitudes, summed over the
-    phase harmonics m with weight cos(m theta).  The sum is truncated at
-    ``m_max``; if the last retained term still exceeds 1 Hz the truncation
-    is rejected.
+    Row m is the coefficient of cos(m theta) in the Bessel-function closed
+    form: each cosine harmonic of the frequency curve contributes a
+    product of Bessel functions evaluated at the two tone amplitudes.  The
+    relative phase theta of ``pulse`` is not used.  No truncation check is
+    made; avg_frequency_bessel makes it.
     """
-    if m_max < 8:
-        raise ValidationError("harmonic cutoff below 8 cannot be trusted")
     coeffs = series.as_array()
     n = np.arange(coeffs.size)
     a1 = 2.0 * np.pi * pulse.amp_fundamental_phi0
@@ -225,7 +224,24 @@ def avg_frequency_bessel(
     )
     j1 = jv(pulse.p * m[:, None], n[None, :] * a1)
     jp = jv(m[:, None], n[None, :] * ap)
-    nu = ((2.0 - (m == 0))[:, None] * phase * j1 * jp) @ coeffs
+    return ((2.0 - (m == 0))[:, None] * phase * j1 * jp) @ coeffs
+
+
+def avg_frequency_bessel(
+    series: FourierSeries,
+    pulse: BichromaticPulse,
+    m_max: int = 48,
+) -> float:
+    """Average frequency from the Bessel-function closed form.
+
+    Sums the theta-harmonics of avg_frequency_harmonics with weight
+    cos(m theta).  The sum is truncated at ``m_max``; if the last retained
+    term still exceeds 1 Hz the truncation is rejected.
+    """
+    if m_max < 8:
+        raise ValidationError("harmonic cutoff below 8 cannot be trusted")
+    nu = avg_frequency_harmonics(series, pulse, m_max)
+    m = np.arange(m_max + 1)
     if abs(nu[m_max]) > 1e-9:
         raise CutoffTooSmall(
             f"harmonic m={m_max} still contributes {abs(nu[m_max]):.2e} GHz; "
@@ -271,19 +287,13 @@ class OperatingPoint:
     is_sweet_spot: bool
 
 
-def operating_point(
-    spec: TransmonSpec,
-    pulse: BichromaticPulse,
-    threshold_ghz_per_phi0: float = SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0,
+def _point(
+    pulse: BichromaticPulse, fbar: float, dac: float, ddc: float, threshold: float
 ) -> OperatingPoint:
-    """Evaluate average frequency and sensitivities, flag sweet spots.
-
-    The flag requires both knobs below threshold; the ac stationarity
-    alone is not enough when the dc bias sits off a parity-protected
-    point.
-    """
-    fbar, dac, ddc = pulse_slopes(spec, pulse)
-    sweet = abs(dac) < threshold_ghz_per_phi0 and abs(ddc) < threshold_ghz_per_phi0
+    """The operating point of a pulse, flagged a sweet spot when both
+    sensitivities are below threshold; the ac stationarity alone is not
+    enough when the dc bias sits off a parity-protected point."""
+    sweet = abs(dac) < threshold and abs(ddc) < threshold
     return OperatingPoint(
         pulse=pulse,
         f_bar_ghz=fbar,
@@ -291,6 +301,15 @@ def operating_point(
         dfbar_ddc_ghz_per_phi0=ddc,
         is_sweet_spot=sweet,
     )
+
+
+def operating_point(
+    spec: TransmonSpec,
+    pulse: BichromaticPulse,
+    threshold_ghz_per_phi0: float = SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0,
+) -> OperatingPoint:
+    """Evaluate average frequency and sensitivities, flag sweet spots."""
+    return _point(pulse, *pulse_slopes(spec, pulse), threshold_ghz_per_phi0)
 
 
 @dataclass(frozen=True)
@@ -421,6 +440,11 @@ def _solve(
     ]
 
 
+def _check_window(window: tuple[float, float]) -> None:
+    if not (0.0 <= window[0] < window[1]):
+        raise ValidationError("window must satisfy 0 <= lo < hi")
+
+
 def sweet_spot_solve(
     spec: TransmonSpec,
     phi_dc: float,
@@ -444,8 +468,7 @@ def sweet_spot_solve(
     none, which is a legitimate outcome for some mixing angles.
     """
     require_finite(phi_dc=phi_dc, alpha_rad=alpha_rad, theta_rad=theta_rad)
-    if not (0.0 <= window[0] < window[1]):
-        raise ValidationError("window must satisfy 0 <= lo < hi")
+    _check_window(window)
     roots = _solve(ladder_curve(spec), phi_dc, p, alpha_rad, theta_rad, window, xtol)
     return [(amp, fbar) for amp, fbar, _, _ in roots]
 
@@ -479,17 +502,16 @@ class AtlasResult:
                 )
 
 
-def _atlas_chunk(args: tuple) -> list[tuple[float, float, float, float, float, float]]:
+def _atlas_chunk(args: tuple) -> list[tuple[float, float, list]]:
+    """(alpha, theta, roots of _solve) per node, no roots where NoRoot."""
     (curve, phi_dc, p, alphas, thetas, window, xtol) = args
     rows = []
     for alpha in alphas:
         for theta in thetas:
             try:
-                solutions = _solve(curve, phi_dc, p, alpha, theta, window, xtol)
+                rows.append((alpha, theta, _solve(curve, phi_dc, p, alpha, theta, window, xtol)))
             except NoRoot:
-                rows.append((alpha, theta, math.nan, math.nan, math.nan, math.nan))
-                continue
-            rows.extend((alpha, theta, *sol) for sol in solutions)
+                rows.append((alpha, theta, []))
     return rows
 
 
@@ -525,6 +547,7 @@ def sweet_spot_atlas(
         **{f"alpha_grid[{i}]": a for i, a in enumerate(alphas)},
         **{f"theta_grid[{i}]": t for i, t in enumerate(thetas)},
     )
+    _check_window(window)
     curve = ladder_curve(spec)
 
     if jobs > 1:
@@ -535,34 +558,18 @@ def sweet_spot_atlas(
     else:
         rows = _atlas_chunk((curve, phi_dc, p, alphas, thetas, window, xtol))
 
-    points: list[OperatingPoint] = []
-    n_no_root = 0
-    for alpha, theta, amp, fbar, dac, ddc in rows:
-        if math.isnan(amp):
-            n_no_root += 1
-            continue
-        pulse = BichromaticPulse(
-            fm_mhz=fm_mhz,
-            phi_ac_phi0=amp,
-            alpha_rad=alpha,
-            theta_rad=theta,
-            p=p,
-            phi_dc_phi0=phi_dc,
-        )
-        sweet = abs(dac) < threshold_ghz_per_phi0 and abs(ddc) < threshold_ghz_per_phi0
-        points.append(
-            OperatingPoint(
-                pulse=pulse,
-                f_bar_ghz=fbar,
-                dfbar_dac_ghz_per_phi0=dac,
-                dfbar_ddc_ghz_per_phi0=ddc,
-                is_sweet_spot=sweet,
+    points = []
+    for alpha, theta, roots in rows:
+        for amp, fbar, dac, ddc in roots:
+            pulse = BichromaticPulse(
+                fm_mhz=fm_mhz, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta, p=p,
+                phi_dc_phi0=phi_dc,
             )
-        )
+            points.append(_point(pulse, fbar, dac, ddc, threshold_ghz_per_phi0))
     return AtlasResult(
         points=tuple(points),
-        n_grid_nodes=len(alphas) * len(thetas),
-        n_no_root=n_no_root,
+        n_grid_nodes=len(rows),
+        n_no_root=sum(not roots for _, _, roots in rows),
     )
 
 

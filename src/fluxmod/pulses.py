@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -302,7 +301,8 @@ class TransferFunction:
 
     Evaluation uses monotone cubic interpolation between table points and
     refuses to extrapolate: frequencies outside the tabulated band raise
-    OutOfBand.
+    OutOfBand.  A table whose interpolant overflows (a frequency near
+    1e300 MHz, say) raises ValidationError.
     """
 
     freqs_mhz: tuple[float, ...]
@@ -322,15 +322,19 @@ class TransferFunction:
             raise ValidationError("frequencies must be strictly increasing")
         if not np.all(t > 0):
             raise ValidationError("transmission values must be positive")
+        # built once per table; the frozen fields never change under it
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                interpolant = PchipInterpolator(f, t)
+        except FloatingPointError as exc:
+            raise ValidationError(
+                f"transfer function table at {self.freqs_mhz} MHz cannot be interpolated: {exc}"
+            ) from None
+        object.__setattr__(self, "_interpolant", interpolant)
 
     @property
     def band_mhz(self) -> tuple[float, float]:
         return self.freqs_mhz[0], self.freqs_mhz[-1]
-
-    @cached_property
-    def _interpolant(self) -> PchipInterpolator:
-        # built once per table; the frozen fields never change under it
-        return PchipInterpolator(self.freqs_mhz, self.transmission)
 
     def at(self, f_mhz: np.ndarray | float) -> np.ndarray | float:
         f = np.asarray(f_mhz, dtype=float)

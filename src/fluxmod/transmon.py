@@ -197,6 +197,7 @@ def frequency_curve(
     points: int = 201,
 ) -> FrequencyCurve:
     """Sample f01 and f12 on a uniform dc flux grid."""
+    require_finite(flux_min=flux_min, flux_max=flux_max)
     if points < 2:
         raise ValidationError("need at least two grid points")
     flux = np.linspace(flux_min, flux_max, points)

@@ -195,7 +195,7 @@ def test_07_weight_optimization(q3, pair34):
         q3, BichromaticPulse(fm_mhz=100.0, phi_ac_phi0=mono_amp, p=1)
     )
     mono_plan = plan_gate(pair34, mono_point, GateType.CZ02, -8)
-    best = optimize_weight(q3, pair34, 3, -8)
+    best = optimize_weight(pair34, 3, -8)
     dt = time.perf_counter() - t0
     ratio = best.g_eff_mhz / mono_plan.g_eff_mhz
     dur_ratio = mono_plan.duration_ns / best.duration_ns

@@ -245,6 +245,9 @@ def _device_with(qubit_q1=None, pair=None):
     }
 
 
+CHEVRON = ("chevron", "--pair", "q1:q2", "--k=-2", "--p", "1")
+
+
 @pytest.mark.parametrize(
     "device, args, named",
     [
@@ -344,6 +347,19 @@ def _device_with(qubit_q1=None, pair=None):
         (None, ("atlas", "--qubit", "q1", "--theta-points", "0"), "--theta-points"),
         (None, ("calibrate", "--qubit", "q1", "--probes", "abc"), "--probes"),
         (None, ("calibrate", "--qubit", "q1", "--probes", "30,inf,150,250"), "--probes"),
+        (None, ("sweep", "--qubit", "q1", "--flux-min", "nan"), "flux_min"),
+        (None, ("sweep", "--qubit", "q1", "--flux-max", "inf"), "flux_max"),
+        (None, (*CHEVRON, "--halfspan-mhz", "nan"), "fm_halfspan_mhz"),
+        (None, (*CHEVRON, "--halfspan-mhz", "1e308"), "fm_halfspan_mhz"),
+        (None, (*CHEVRON, "--t-max-ns", "-1"), "t_max_ns"),
+        (None, (*CHEVRON, "--t-max-ns", "inf"), "t_max_ns"),
+        (
+            Scenario({**_scenario_with(), "transfer_function": [
+                [10.0, 1.0], [20.0, 0.9], [30.0, 0.8], [1e300, 0.5],
+            ]}),
+            ("calibrate", "--scenario", "SCENARIO"),
+            "transfer function table",
+        ),
     ],
     ids=[
         "alpha-nan", "fm-nan", "pair-no-coupling", "qubit-no-ej2", "f01-max-nan",
@@ -353,7 +369,9 @@ def _device_with(qubit_q1=None, pair=None):
         "qubit-unknown-key", "top-level-unknown-key", "scenario-no-ej2",
         "scenario-string-number", "scenario-seed-string", "scenario-unknown-key",
         "atlas-alpha-points-negative", "atlas-theta-points-zero", "probes-not-numbers",
-        "probes-not-finite",
+        "probes-not-finite", "sweep-flux-min-nan", "sweep-flux-max-inf",
+        "chevron-halfspan-nan", "chevron-halfspan-huge", "chevron-t-max-negative",
+        "chevron-t-max-inf", "scenario-transfer-overflow",
     ],
 )
 def test_bad_input_exits_2_naming_it(runner, device_file, tmp_path, device, args, named):

@@ -1,10 +1,10 @@
 """Exit-code contract under malformed input: a derandomized fuzz of the CLI.
 
-Numeric options of ``atlas``, ``plan`` and ``calibrate`` and values in the
-device and scenario files are replaced by awkward values.  Whatever the
-input, the command must exit with a documented code (0 success, 2 invalid
-request, 3 no feasible solution, 4 numerical failure) and print no
-traceback.
+Numeric options of ``sweep``, ``atlas``, ``plan``, ``chevron`` and
+``calibrate`` and values in the device and scenario files are replaced by
+awkward values.  Whatever the input, the command must exit with a
+documented code (0 success, 2 invalid request, 3 no feasible solution,
+4 numerical failure) and print no traceback.
 """
 
 import copy
@@ -37,16 +37,22 @@ SCENARIO = {
 }
 
 # the fast base request of each command, and its numeric options
+PLAN_OPTIONS = ("--k", "--p", "--alpha", "--theta", "--phi-dc", "--root-index",
+                "--bandwidth-mhz", "--tls")
 COMMANDS = {
+    "sweep": (
+        ("sweep", "--qubit", "q1", "--points", "3"),
+        ("--flux-min", "--flux-max", "--points"),
+    ),
     "atlas": (
         ("atlas", "--qubit", "q1", "--alpha-points", "2", "--theta-points", "2"),
         ("--phi-dc", "--p", "--alpha-min", "--alpha-max", "--alpha-points",
          "--theta-min", "--theta-max", "--theta-points", "--fm-mhz"),
     ),
-    "plan": (
-        ("plan", "--pair", "q1:q2", "--k=-2", "--p", "1"),
-        ("--k", "--p", "--alpha", "--theta", "--phi-dc", "--root-index",
-         "--bandwidth-mhz", "--tls"),
+    "plan": (("plan", "--pair", "q1:q2", "--k=-2", "--p", "1"), PLAN_OPTIONS),
+    "chevron": (
+        ("chevron", "--pair", "q1:q2", "--k=-2", "--p", "1", "--n-fm", "5", "--n-t", "5"),
+        (*PLAN_OPTIONS, "--halfspan-mhz", "--n-fm", "--t-max-ns", "--n-t"),
     ),
     "calibrate": (
         ("calibrate", "--qubit", "q1"),
@@ -54,6 +60,7 @@ COMMANDS = {
          "--theta", "--p", "--n-theta", "--probes"),
     ),
 }
+N_OPTIONS = max(len(options) for _, options in COMMANDS.values())
 TEXT = st.sampled_from(
     ["-1", "0", "1", "2", "3", "0.5", "-0.3", "1e300", "nan", "inf", "-inf", "abc",
      "", "50,100,nan,300"]
@@ -83,7 +90,7 @@ def _run(spec: dict | None, argv: tuple[str, ...], scenario: dict | None = None)
 @settings(max_examples=300)
 @given(
     command=st.sampled_from(sorted(COMMANDS)),
-    picks=st.lists(st.tuples(st.integers(0, 8), TEXT), min_size=1, max_size=2),
+    picks=st.lists(st.tuples(st.integers(0, N_OPTIONS - 1), TEXT), min_size=1, max_size=2),
 )
 @example(command="atlas", picks=[(4, "-1")])
 @example(command="calibrate", picks=[(8, "abc")])

@@ -294,6 +294,9 @@ class TestSweetSpotSolve:
     def test_window_validation(self, q1):
         with pytest.raises(ValidationError):
             sweet_spot_solve(q1, 0.0, 1, 0.0, 0.0, window=(0.5, 0.1))
+        for window in ((0.9, 0.05), (0.3, 0.3)):
+            with pytest.raises(ValidationError, match="window"):
+                sweet_spot_atlas(q1, 0.0, 3, [0.3], [0.2], window=window)
 
     def test_proxy_degree_is_capped(self, q1, monkeypatch):
         import fluxmod.modulation as modulation

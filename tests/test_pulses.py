@@ -250,6 +250,14 @@ class TestTransferFunction:
                 freqs_mhz=(1.0, 2.0, 3.0, 4.0), transmission=(0.5, -0.1, 0.5, 0.5)
             )
 
+    @pytest.mark.parametrize(
+        "freqs", [(10.0, 20.0, 30.0, 1e300), (1e-300, 2e-300, 20.0, 30.0)]
+    )
+    def test_table_the_interpolant_cannot_hold(self, freqs):
+        # the monotone cubic's slopes overflow; no .at() call is needed
+        with pytest.raises(ValidationError, match="transfer function table"):
+            TransferFunction(freqs_mhz=freqs, transmission=(1.0, 0.9, 0.8, 0.5))
+
     def test_interpolant_built_once_per_table(self, monkeypatch):
         import fluxmod.pulses as pulses
 

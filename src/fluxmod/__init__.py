@@ -60,7 +60,6 @@ from .modulation import (
     AtlasResult,
     NoiseModel,
     OperatingPoint,
-    Sensitivities,
     SidebandSpectrum,
     avg_frequency_bessel,
     avg_frequency_harmonics,
@@ -69,7 +68,6 @@ from .modulation import (
     dephasing_proxy,
     operating_point,
     pulse_slopes,
-    sensitivities,
     sideband_weights,
     sweet_spot_atlas,
     sweet_spot_solve,

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .modulation import (
     OperatingPoint,
+    SidebandSpectrum,
     pulse_slopes,
     sideband_weights,
     sweet_spot_atlas,
@@ -184,6 +185,15 @@ def resonance_fm(
     return fm
 
 
+def _check_scan(k_window: int, weight_floor: float = 0.0) -> None:
+    """Reject a negative or non-integer sideband window, which would scan
+    nothing, and a negative or non-finite weight floor (NaN drops nothing)."""
+    if not isinstance(k_window, (int, np.integer)) or k_window < 0:
+        raise ValidationError(f"k_window must be an integer >= 0, got {k_window!r}")
+    if not 0.0 <= weight_floor < math.inf:
+        raise ValidationError(f"weight_floor must be finite and >= 0, got {weight_floor!r}")
+
+
 def enumerate_resonances(
     pair: PairSpec,
     point: OperatingPoint,
@@ -197,6 +207,7 @@ def enumerate_resonances(
     optional cap drops resonances beyond the drive band, which can
     legitimately empty the map.
     """
+    _check_scan(k_window)
     if max_fm_mhz is not None:
         require_finite(max_fm_mhz=max_fm_mhz)
     fbars = {ch: _ladder_fbar_ghz(pair, point, ch) for ch in ("f01", "f12")}
@@ -301,6 +312,8 @@ def gate_duration(gate_type: GateType, g_eff_mhz: float) -> float:
 def check_collisions(
     plan: GatePlan,
     pair: PairSpec,
+    spectra: dict[str, SidebandSpectrum],
+    *,
     tls_ghz: tuple[float, ...] = (),
     bandwidth_mhz: float = DEFAULT_BANDWIDTH_MHZ,
     k_window: int = 10,
@@ -308,28 +321,35 @@ def check_collisions(
 ) -> list[CollisionReport]:
     """Scan the planned drive for spectral neighbors within a bandwidth.
 
-    Two families are checked.  First, every populated sideband of both
-    modulated-qubit ladders is compared against the neighbor transitions
-    and any listed TLS frequencies.  Second, every other reachable gate
-    resonance is compared against the planned modulation frequency, since
-    a shared drive frequency activates both processes at once; these
-    resonances come from the ladder averages f_bar that the two sideband
-    spectra already carry.  Sidebands whose weight magnitude is below
-    ``weight_floor`` are ignored; reports are deduplicated per offender,
-    keeping the smallest gap, and sorted by gap.
+    ``spectra`` maps each modulated-qubit ladder ("f01", "f12") to its
+    sideband spectrum at the planned pulse over at least |k| <= ``k_window``,
+    as plan_gate computes them; a spectrum on another channel or at another
+    modulation frequency is rejected.  Two families are checked.  First,
+    every populated sideband with |k| <= ``k_window`` of both ladders is
+    compared against the neighbor transitions and any listed TLS
+    frequencies.  Second, every other reachable gate resonance is compared
+    against the planned modulation frequency, since a shared drive
+    frequency activates both processes at once; these resonances come from
+    the ladder averages f_bar that the two spectra carry.  Sidebands whose
+    weight magnitude is below ``weight_floor`` are ignored; reports are
+    deduplicated per offender, keeping the smallest gap, and sorted by gap.
     """
+    _check_scan(k_window, weight_floor)
     require_finite(
         bandwidth_mhz=bandwidth_mhz,
         **{f"tls_ghz[{i}]": f for i, f in enumerate(tls_ghz)},
     )
     if bandwidth_mhz <= 0.0:
         raise ValidationError("bandwidth must be positive")
+    for ch in ("f01", "f12"):
+        spec = spectra.get(ch)
+        if spec is None or spec.channel != ch or spec.fm_mhz != plan.fm_mhz:
+            raise ValidationError(
+                f"spectra[{ch!r}] must be the {ch} spectrum at the planned "
+                f"{plan.fm_mhz:.6g} MHz drive"
+            )
     fm_ghz = plan.fm_mhz * 1e-3
     tls_all = tuple(pair.tls_ghz) + tuple(tls_ghz)
-    spectra = {
-        ch: sideband_weights(pair.modulated, plan.pulse, (-k_window, k_window), channel=ch)
-        for ch in ("f01", "f12")
-    }
     f01n, f12n = _neighbor_freqs(pair)
     own_ladder = plan.gate_type.ladder_channel
     own_target = plan.gate_type.neighbor_channel
@@ -346,7 +366,7 @@ def check_collisions(
 
     for channel in ("f01", "f12"):
         spec = spectra[channel]
-        for j in spec.ks:
+        for j in range(-k_window, k_window + 1):
             if abs(spec.weight(j)) < weight_floor:
                 continue
             f_j = spec.f_bar_ghz + j * fm_ghz
@@ -411,18 +431,21 @@ def plan_gate(
 ) -> GatePlan:
     """Resolve a gate request at a fixed operating point into a full plan.
 
-    Picks the resonant modulation frequency, re-evaluates the sideband
-    weight at that frequency (weights depend on the ratio of frequency
-    excursion to modulation rate), and attaches the collision scan.
+    Picks the resonant modulation frequency, computes the sideband
+    spectrum of each ladder once at that frequency (weights depend on the
+    ratio of frequency excursion to modulation rate), reads the gate
+    weight off its own ladder's spectrum, and attaches the collision scan
+    of both spectra.
     """
+    _check_scan(k_window, weight_floor)
     fm = resonance_fm(pair, point, gate_type, k)
     pulse = replace(point.pulse, fm_mhz=fm)
-    spectrum = sideband_weights(
-        pair.modulated, pulse, (-max(abs(k), k_window), max(abs(k), k_window)),
-        channel=gate_type.ladder_channel,
-    )
-    weight = spectrum.weight(k)
-    g_eff = effective_coupling(pair, weight, gate_type)
+    span = max(abs(k), k_window)
+    spectra = {
+        ch: sideband_weights(pair.modulated, pulse, (-span, span), channel=ch)
+        for ch in ("f01", "f12")
+    }
+    g_eff = effective_coupling(pair, spectra[gate_type.ladder_channel].weight(k), gate_type)
     plan = GatePlan(
         gate_type=gate_type,
         k=k,
@@ -434,6 +457,7 @@ def plan_gate(
     collisions = check_collisions(
         plan,
         pair,
+        spectra,
         tls_ghz=tls_ghz,
         bandwidth_mhz=bandwidth_mhz,
         k_window=k_window,
@@ -544,6 +568,7 @@ def optimize_weight(
         bandwidth_mhz=bandwidth_mhz,
         **{f"tls_ghz[{i}]": f for i, f in enumerate(tls_ghz)},
     )
+    _check_scan(k_window, weight_floor)
     n_alpha, n_theta = grid_shape
     if n_alpha < 4 or n_theta < 4:
         raise ValidationError("grid must be at least 4x4")

@@ -18,6 +18,7 @@ sensitivities are below 50 kHz per flux quantum.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +47,6 @@ from .transmon import (
 
 __all__ = [
     "SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0",
-    "Sensitivities",
     "OperatingPoint",
     "NoiseModel",
     "AtlasResult",
@@ -56,7 +56,6 @@ __all__ = [
     "avg_frequency_bessel",
     "avg_frequency_slopes",
     "pulse_slopes",
-    "sensitivities",
     "operating_point",
     "dephasing_proxy",
     "sweet_spot_solve",
@@ -80,6 +79,9 @@ _PROXY_DEGREE = 32
 _PROXY_MAX_DEGREE = 512
 _PROXY_TAIL = 1e-7
 _NEWTON_MAX_STEPS = 100
+
+# Sideband spectra: phase-integration nodes per period
+_SIDEBAND_NODES = 4096
 
 
 @lru_cache(maxsize=32)
@@ -250,14 +252,6 @@ def avg_frequency_bessel(
     return float(nu @ np.cos(m * pulse.theta_rad))
 
 
-@dataclass(frozen=True)
-class Sensitivities:
-    """First derivatives of the average frequency w.r.t. the flux knobs."""
-
-    dfbar_dac_ghz_per_phi0: float
-    dfbar_ddc_ghz_per_phi0: float
-
-
 def pulse_slopes(
     spec: TransmonSpec, pulse: BichromaticPulse, channel: str = "f01"
 ) -> tuple[float, float, float]:
@@ -268,12 +262,6 @@ def pulse_slopes(
         pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad, pulse.theta_rad, [pulse.phi_ac_phi0],
     )
     return float(fbar[0]), float(dac[0]), float(ddc[0])
-
-
-def sensitivities(spec: TransmonSpec, pulse: BichromaticPulse) -> Sensitivities:
-    """Flux sensitivities of the average frequency at one pulse setting."""
-    _, dac, ddc = pulse_slopes(spec, pulse)
-    return Sensitivities(dac, ddc)
 
 
 @dataclass(frozen=True)
@@ -536,7 +524,9 @@ def sweet_spot_atlas(
     reported operating points carry a pulse with the given modulation
     frequency, which does not affect the average frequency or the
     sensitivities.  With ``jobs > 1`` the alpha rows are distributed over
-    worker processes; output ordering is independent of the job count.
+    min(jobs, alpha rows, CPU count) worker processes, and solved in this
+    process when that is one; output ordering is independent of the job
+    count.
     """
     alphas = [float(a) for a in alpha_grid]
     thetas = [float(t) for t in theta_grid]
@@ -550,9 +540,11 @@ def sweet_spot_atlas(
     _check_window(window)
     curve = ladder_curve(spec)
 
-    if jobs > 1:
+    # the pool starts all its workers at the first submit
+    workers = min(jobs, len(alphas), os.cpu_count() or 1)
+    if workers > 1:
         chunks = [(curve, phi_dc, p, [a], thetas, window, xtol) for a in alphas]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_alpha = list(pool.map(_atlas_chunk, chunks))
         rows = [row for chunk in per_alpha for row in chunk]
     else:
@@ -609,26 +601,17 @@ class SidebandSpectrum:
 
 @lru_cache(maxsize=32)
 def _instantaneous_frequency(
-    ej1_ghz: float,
-    ej2_ghz: float,
-    ec_ghz: float,
-    channel: str,
-    p: int,
-    alpha: float,
-    theta: float,
-    phi_ac: float,
-    phi_dc: float,
-    nodes: int,
+    curve: LadderCurve, p: int, alpha: float, theta: float, phi_ac: float, phi_dc: float
 ) -> np.ndarray:
-    """Transition frequency (GHz) at ``nodes`` uniform times over one period.
+    """Transition frequency (GHz) of ``curve`` at _SIDEBAND_NODES uniform
+    times over one period.
 
     It depends on the pulse shape but not on the modulation frequency, so
     one profile serves every fm; the array is shared and read-only.  Keyed
-    on the junction energies, so qubits that differ only in label share it.
+    on the curve, so qubits that differ only in label share it.
     """
-    spec = TransmonSpec(ej1_ghz=ej1_ghz, ej2_ghz=ej2_ghz, ec_ghz=ec_ghz)
-    drive = _drive(p, alpha, theta, nodes)
-    finst, _ = ladder_curve(spec, channel).at_phase(2.0 * np.pi * (phi_dc + phi_ac * drive))
+    drive = _drive(p, alpha, theta, _SIDEBAND_NODES)
+    finst, _ = curve.at_phase(2.0 * np.pi * (phi_dc + phi_ac * drive))
     finst.flags.writeable = False
     return finst
 
@@ -639,34 +622,27 @@ def sideband_weights(
     k_range: tuple[int, int] = (-10, 10),
     *,
     channel: str = "f01",
-    coupling: Callable[[np.ndarray], np.ndarray] | None = None,
-    nodes: int = 4096,
 ) -> SidebandSpectrum:
     """Sideband weights of the coupling under the modulated phase.
 
     Integrates the instantaneous transition frequency into its accumulated
-    phase, detrends by the average, and reads the weights off a single
-    FFT over one fundamental period.  The weights over all orders satisfy
-    a Parseval identity (total power one); for the quoted finite range
-    the deficit is the power leaked beyond it.  The instantaneous
-    frequency does not depend on the modulation frequency, so it is
-    computed once per (qubit, channel, pulse shape) and reused across
-    modulation frequencies.
-
-    ``coupling`` optionally supplies a flux-dependent coupling curve; it
-    is normalized to unit root-mean-square over the period so the
-    Parseval identity is preserved.  Default is a constant coupling.
+    phase on 4096 nodes per period, detrends by the average, and reads the
+    weights off a single FFT over one fundamental period.  The weights
+    over all orders satisfy a Parseval identity (total power one); for the
+    quoted finite range the deficit is the power leaked beyond it.  The
+    instantaneous frequency does not depend on the modulation frequency,
+    so it is computed once per (ladder curve, pulse shape) and reused
+    across modulation frequencies.
     """
-    if nodes < 4096:
-        raise ValidationError("need at least 4096 phase-integration nodes")
+    nodes = _SIDEBAND_NODES
     klo, khi = k_range
     if klo > khi:
         raise ValidationError("k_range must be (low, high) with low <= high")
     if khi - klo + 1 > nodes // 4:
         raise ValidationError("k_range too wide for the node count")
     finst = _instantaneous_frequency(
-        spec.ej1_ghz, spec.ej2_ghz, spec.ec_ghz, channel, pulse.p,
-        pulse.alpha_rad, pulse.theta_rad, pulse.phi_ac_phi0, pulse.phi_dc_phi0, nodes,
+        ladder_curve(spec, channel), pulse.p, pulse.alpha_rad, pulse.theta_rad,
+        pulse.phi_ac_phi0, pulse.phi_dc_phi0,
     )
     cycles = finst / pulse.fm_ghz
     # trapezoid steps around the full period, including the wrap segment,
@@ -676,12 +652,6 @@ def sideband_weights(
     total = psi[-1]
     tau = np.arange(nodes) / nodes
     x = np.exp(2j * np.pi * (psi[:nodes] - total * tau))
-    if coupling is not None:
-        flux = pulse.flux(tau / pulse.fm_ghz)
-        g = np.asarray(coupling(flux), dtype=float)
-        if np.any(g <= 0):
-            raise ValidationError("coupling curve must be positive over the pulse")
-        x = x * (g / math.sqrt(float(np.mean(g * g))))
     eps = np.fft.fft(x) / nodes
     ks = tuple(range(klo, khi + 1))
     weights = tuple(complex(eps[k % nodes]) for k in ks)

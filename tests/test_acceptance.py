@@ -28,7 +28,6 @@ from fluxmod import (
     optimize_weight,
     plan_gate,
     resonance_fm,
-    sensitivities,
     sideband_weights,
     sweet_spot_atlas,
     sweet_spot_solve,
@@ -174,7 +173,7 @@ def test_06_symmetry_suite(q1):
     odd_max = max(
         abs(spectrum.weight(k)) for k in spectrum.ks if k % 2 != 0
     )
-    sens = sensitivities(q1, pulse)
+    sens = operating_point(q1, pulse)
     wide = sideband_weights(q1, pulse, (-200, 200))
     total = sum(abs(w) ** 2 for w in wide.weights)
     _report(

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fluxmod.gates as gates
 from fluxmod import (
     BichromaticPulse,
     GateType,
@@ -35,6 +36,13 @@ def mono_point(q1):
     amp, _ = sweet_spot_solve(q1, 0.0, 1, 0.0, 0.0)[0]
     pulse = BichromaticPulse(fm_mhz=100.0, phi_ac_phi0=amp, p=1)
     return operating_point(q1, pulse)
+
+
+def plan_spectra(pair, plan):
+    """Both ladder spectra at the plan's pulse, as plan_gate computes them."""
+    return {
+        ch: sideband_weights(pair.modulated, plan.pulse, channel=ch) for ch in ("f01", "f12")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -233,11 +241,23 @@ class TestCollisions:
                 expected[(GateType(c.gate_type), c.k)], abs=1e-8
             )
 
-    def test_narrow_k_window_scans_only_its_sidebands(self, pair12, mono_point):
-        plan = plan_gate(pair12, mono_point, GateType.CZ02, -2, k_window=5)
+    @pytest.mark.parametrize(
+        "gate, k, k_window, resonances",
+        [
+            (GateType.CZ02, -2, 5, [("iswap", -4)]),
+            # the spectra span +-4; the f12 sideband -2, 3.9 MHz from f01_n,
+            # lies outside the window
+            (GateType.ISWAP, -4, 1, []),
+        ],
+        ids=["k_inside_window", "k_beyond_window"],
+    )
+    def test_narrow_k_window_scans_only_its_sidebands(
+        self, pair12, mono_point, gate, k, k_window, resonances
+    ):
+        plan = plan_gate(pair12, mono_point, gate, k, k_window=k_window)
         hits = [c for c in plan.collisions if c.kind == "gate_resonance"]
-        assert [(c.gate_type, c.k) for c in hits] == [("iswap", -4)]
-        assert all(abs(c.k) <= 5 for c in plan.collisions)
+        assert [(c.gate_type, c.k) for c in hits] == resonances
+        assert all(abs(c.k) <= k_window for c in plan.collisions)
 
     def test_wide_k_window_checks_its_outer_resonances(self, pair12, mono_point):
         # the CZ02 k=-6 drive sits 0.64 MHz from the iSWAP k=-12 resonance
@@ -254,7 +274,56 @@ class TestCollisions:
     def test_bandwidth_validation(self, pair12, mono_point):
         plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
         with pytest.raises(ValidationError):
-            check_collisions(plan, pair12, bandwidth_mhz=0.0)
+            check_collisions(plan, pair12, plan_spectra(pair12, plan), bandwidth_mhz=0.0)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda pair, pt: plan_gate(
+                pair, pt, GateType.CZ02, -2, weight_floor=math.nan, bandwidth_mhz=50.0
+            ), "weight_floor"),
+            (lambda pair, pt: plan_gate(pair, pt, GateType.CZ02, -2, weight_floor=-1.0),
+             "weight_floor"),
+            (lambda pair, pt: plan_gate(pair, pt, GateType.CZ02, -2, k_window=-1), "k_window"),
+            (lambda pair, pt: plan_gate(pair, pt, GateType.ISWAP, -1, k_window=2.5),
+             "k_window"),
+            (lambda pair, pt: enumerate_resonances(pair, pt, k_window=-1), "k_window"),
+            (lambda pair, pt: optimize_weight(
+                pair, 3, -2, grid_shape=(4, 4), weight_floor=math.nan, refine=False
+            ), "weight_floor"),
+        ],
+        ids=[
+            "plan-nan-floor", "plan-negative-floor", "plan-negative-window",
+            "plan-fractional-window", "enumerate-negative-window", "optimize-nan-floor",
+        ],
+    )
+    def test_scan_window_is_checked(self, pair12, mono_point, call, name):
+        with pytest.raises(ValidationError, match=name):
+            call(pair12, mono_point)
+
+    def test_one_spectrum_per_ladder(self, pair12, mono_point, monkeypatch):
+        channels = []
+
+        def counting(*args, **kwargs):
+            channels.append(kwargs["channel"])
+            return sideband_weights(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "sideband_weights", counting)
+        plan_gate(pair12, mono_point, GateType.CZ02, -2)
+        assert sorted(channels) == ["f01", "f12"]
+
+    def test_spectra_must_be_the_plans(self, q1, pair12, mono_point):
+        plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
+        spectra = plan_spectra(pair12, plan)
+        assert check_collisions(plan, pair12, spectra) == list(plan.collisions)
+        detuned = replace(plan.pulse, fm_mhz=plan.fm_mhz + 1.0)
+        for bad in (
+            {**spectra, "f12": sideband_weights(q1, detuned, channel="f12")},
+            {"f01": spectra["f12"], "f12": spectra["f01"]},
+            {"f01": spectra["f01"]},
+        ):
+            with pytest.raises(ValidationError, match="spectra"):
+                check_collisions(plan, pair12, bad)
 
 
 class TestGatePlan:

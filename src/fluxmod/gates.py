@@ -25,7 +25,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     NoFeasiblePoint,
@@ -62,6 +61,9 @@ __all__ = [
 
 DEFAULT_BANDWIDTH_MHZ = 5.0
 
+# the modulated qubit's ladders, in the order the collision scan indexes them
+_LADDERS = ("f01", "f12")
+
 
 class GateType(enum.Enum):
     """Parametric gate family, named by the activated avoided crossing."""
@@ -83,6 +85,12 @@ class GateType(enum.Enum):
     @property
     def neighbor_channel(self) -> str:
         return "f12" if self is GateType.CZ20 else "f01"
+
+
+# per gate type, in GateType order, the ladder that carries it and the
+# neighbor line it meets, as indices into _LADDERS
+_GATE_LADDER = np.array([_LADDERS.index(gt.ladder_channel) for gt in GateType])
+_GATE_TARGET = [_LADDERS.index(gt.neighbor_channel) for gt in GateType]
 
 
 @dataclass(frozen=True)
@@ -120,11 +128,6 @@ def _neighbor_freqs(pair: PairSpec) -> tuple[float, float]:
     return _cached_neighbor_freqs(nb.ej1_ghz, nb.ej2_ghz, nb.ec_ghz, pair.neighbor_phi_dc_phi0)
 
 
-def _target_freq_ghz(pair: PairSpec, gate_type: GateType) -> float:
-    f01n, f12n = _neighbor_freqs(pair)
-    return f12n if gate_type.neighbor_channel == "f12" else f01n
-
-
 def _ladder_fbar_ghz(pair: PairSpec, point: OperatingPoint, channel: str) -> float:
     # the point already holds the f01 average
     if channel == "f01":
@@ -132,30 +135,11 @@ def _ladder_fbar_ghz(pair: PairSpec, point: OperatingPoint, channel: str) -> flo
     return pulse_slopes(pair.modulated, point.pulse, channel)[0]
 
 
-def _reachable_fms(
-    pair: PairSpec,
-    fbars: dict[str, float],
-    k_set: tuple[int, ...],
-    gate_types: tuple[GateType, ...],
-    max_fm_mhz: float | None = None,
-) -> dict[tuple[GateType, int], float]:
-    """Modulation frequency (MHz) of every reachable (gate type, k) resonance,
-    given the average frequency of each ladder the gate types use."""
-    out: dict[tuple[GateType, int], float] = {}
-    for gt in gate_types:
-        target = _target_freq_ghz(pair, gt)
-        fbar = fbars[gt.ladder_channel]
-        for k in k_set:
-            if k == 0:
-                continue
-            fm_ghz = (target - fbar) / k
-            if fm_ghz <= 0.0:
-                continue
-            fm = fm_ghz * 1e3
-            if max_fm_mhz is not None and fm > max_fm_mhz:
-                continue
-            out[(gt, k)] = fm
-    return out
+def _resonance_fm_mhz(target_ghz, fbar_ghz, k):
+    """Drive (MHz) that parks sideband k != 0 of a ladder averaging fbar on the
+    target line, NaN where no positive drive does; elementwise on arrays."""
+    fm = (np.asarray(target_ghz) - fbar_ghz) / k * 1e3
+    return np.where(fm > 0.0, fm, np.nan)
 
 
 def resonance_fm(
@@ -174,10 +158,10 @@ def resonance_fm(
     """
     if k == 0:
         raise ValidationError("sideband order k must be nonzero")
-    channel = gate_type.ladder_channel
-    fbar = _ladder_fbar_ghz(pair, point, channel)
-    fm = _reachable_fms(pair, {channel: fbar}, (k,), (gate_type,)).get((gate_type, k))
-    if fm is None:
+    fbar = _ladder_fbar_ghz(pair, point, gate_type.ladder_channel)
+    target = _neighbor_freqs(pair)[_LADDERS.index(gate_type.neighbor_channel)]
+    fm = float(_resonance_fm_mhz(target, fbar, k))
+    if math.isnan(fm):
         raise WrongSideband(
             f"sideband k={k} cannot reach the {gate_type.value} target from "
             f"fbar={fbar:.4f} GHz"
@@ -186,7 +170,7 @@ def resonance_fm(
 
 
 def _check_scan(k_window: int, weight_floor: float = 0.0) -> None:
-    """Reject a negative or non-integer sideband window, which would scan
+    """Reject a negative or non-integer resonance window, which would scan
     nothing, and a negative or non-finite weight floor (NaN drops nothing)."""
     if not isinstance(k_window, (int, np.integer)) or k_window < 0:
         raise ValidationError(f"k_window must be an integer >= 0, got {k_window!r}")
@@ -210,9 +194,16 @@ def enumerate_resonances(
     _check_scan(k_window)
     if max_fm_mhz is not None:
         require_finite(max_fm_mhz=max_fm_mhz)
-    fbars = {ch: _ladder_fbar_ghz(pair, point, ch) for ch in ("f01", "f12")}
-    k_set = tuple(range(-k_window, k_window + 1))
-    return _reachable_fms(pair, fbars, k_set, tuple(GateType), max_fm_mhz)
+    cap = math.inf if max_fm_mhz is None else max_fm_mhz
+    fbars = {ch: _ladder_fbar_ghz(pair, point, ch) for ch in _LADDERS}
+    targets = _neighbor_freqs(pair)
+    ks = np.arange(-k_window, k_window + 1)
+    ks = ks[ks != 0]
+    out: dict[tuple[GateType, int], float] = {}
+    for gt, t in zip(GateType, _GATE_TARGET):
+        fms = _resonance_fm_mhz(targets[t], fbars[gt.ladder_channel], ks)
+        out.update(((gt, int(k)), float(fm)) for k, fm in zip(ks, fms) if fm <= cap)
+    return out
 
 
 @dataclass(frozen=True)
@@ -322,17 +313,21 @@ def check_collisions(
     """Scan the planned drive for spectral neighbors within a bandwidth.
 
     ``spectra`` maps each modulated-qubit ladder ("f01", "f12") to its
-    sideband spectrum at the planned pulse over at least |k| <= ``k_window``,
-    as plan_gate computes them; a spectrum on another channel or at another
-    modulation frequency is rejected.  Two families are checked.  First,
-    every populated sideband with |k| <= ``k_window`` of both ladders is
-    compared against the neighbor transitions and any listed TLS
-    frequencies.  Second, every other reachable gate resonance is compared
-    against the planned modulation frequency, since a shared drive
-    frequency activates both processes at once; these resonances come from
-    the ladder averages f_bar that the two spectra carry.  Sidebands whose
-    weight magnitude is below ``weight_floor`` are ignored; reports are
-    deduplicated per offender, keeping the smallest gap, and sorted by gap.
+    sideband spectrum at the planned pulse, as sideband_weights returns it
+    by default and plan_gate computes it: every order but a tail certified
+    below 1e-13.  A spectrum on another channel or at another modulation
+    frequency is rejected, and so is one whose left-out power (Parseval:
+    1 - sum |w|^2) could hold an order of weight ``weight_floor`` or more.
+    Orders whose weight magnitude is at least ``weight_floor`` are checked
+    in one array pass per family.  First, every such sideband of both
+    ladders is compared against the neighbor transitions and any listed
+    TLS frequencies.  Second, every such order 0 < |n| <= ``k_window`` is
+    a gate resonance of each gate type its ladder carries, at the drive
+    fm_n that parks sideband n on that gate's target (computed from the
+    ladder averages f_bar that the two spectra carry); it collides when
+    |fm_n - fm| < bandwidth, since a shared drive frequency activates both
+    processes at once.  Reports are deduplicated per offender, keeping the
+    smallest gap, and sorted by gap.
     """
     _check_scan(k_window, weight_floor)
     require_finite(
@@ -341,81 +336,66 @@ def check_collisions(
     )
     if bandwidth_mhz <= 0.0:
         raise ValidationError("bandwidth must be positive")
-    for ch in ("f01", "f12"):
+    for ch in _LADDERS:
         spec = spectra.get(ch)
-        if spec is None or spec.channel != ch or spec.fm_mhz != plan.fm_mhz:
+        # Parseval: no order a spectrum leaves out weighs more than sqrt(1 - power)
+        if (
+            spec is None or spec.channel != ch or spec.fm_mhz != plan.fm_mhz
+            or math.sqrt(max(0.0, 1.0 - spec.power_in_range)) >= weight_floor
+        ):
             raise ValidationError(
-                f"spectra[{ch!r}] must be the {ch} spectrum at the planned "
-                f"{plan.fm_mhz:.6g} MHz drive"
+                f"spectra[{ch!r}] must be the {ch} spectrum at the planned {plan.fm_mhz:.6g} "
+                f"MHz drive, leaving out no order of weight >= weight_floor={weight_floor:g}"
             )
-    fm_ghz = plan.fm_mhz * 1e-3
     tls_all = tuple(pair.tls_ghz) + tuple(tls_ghz)
-    f01n, f12n = _neighbor_freqs(pair)
-    own_ladder = plan.gate_type.ladder_channel
-    own_target = plan.gate_type.neighbor_channel
+    labels = ["f01_n", "f12_n"] + [f"tls@{f:.4f}GHz" for f in tls_all]
+    targets = np.array([*_neighbor_freqs(pair), *tls_all])
 
-    targets = [("f01_n", "f01", f01n), ("f12_n", "f12", f12n)]
-    targets += [(f"tls@{f:.4f}GHz", "tls", f) for f in tls_all]
+    # one row per populated order of either ladder: ladder index, order, f_bar
+    s01, s12 = (spectra[ch] for ch in _LADDERS)
+    w = np.fromiter(itertools.chain(s01.weights, s12.weights), complex, len(s01.ks) + len(s12.ks))
+    rows = np.flatnonzero(np.abs(w) >= weight_floor)
+    ladder = (rows >= len(s01.ks)).astype(int)
+    order = rows + np.where(ladder, s12.ks[0] - len(s01.ks), s01.ks[0])
+    fbar = np.where(ladder, s12.f_bar_ghz, s01.f_bar_ghz)
+    found: list[tuple[tuple, CollisionReport]] = []
 
+    # sidebands against the neighbor lines (columns 0, 1) and the TLS; the
+    # gate's own sideband on its own target is the drive, not a collision
+    gate_types = tuple(GateType)
+    g_own = gate_types.index(plan.gate_type)
+    own = (_GATE_LADDER[g_own], plan.k, _GATE_TARGET[g_own])
+    f_ghz = fbar + order * (plan.fm_mhz * 1e-3)
+    gaps = (f_ghz[:, None] - targets) * 1e3
+    for i, t in zip(*np.nonzero(np.abs(gaps) < bandwidth_mhz)):
+        if (ladder[i], order[i], t) == own:
+            continue
+        ch, j, gap = _LADDERS[ladder[i]], int(order[i]), float(gaps[i, t])
+        kind = "sideband" if t < 2 else "tls"
+        text = f"{ch} ladder sideband {j:+d} within {abs(gap):.3f} MHz of {labels[t]}"
+        report = CollisionReport(kind, gap, float(f_ghz[i] * 1e3), None, j, text)
+        found.append(((kind, ch, j, labels[t]), report))
+
+    # gate resonances: column g holds gate type g's resonance on the rows of
+    # its ladder, at the drive that parks that order on its target
+    rows = (order != 0) & (np.abs(order) <= k_window)
+    ladder, order = ladder[rows, None], order[rows, None]
+    fm_alt = _resonance_fm_mhz(targets[_GATE_TARGET], fbar[rows, None], order)
+    gaps = fm_alt - plan.fm_mhz
+    hits = (ladder == _GATE_LADDER) & (np.abs(gaps) < bandwidth_mhz)
+    for i, g in zip(*np.nonzero(hits)):
+        gt, kk, gap = gate_types[g], int(order[i, 0]), float(gaps[i, g])
+        if g == g_own and kk == plan.k:
+            continue
+        text = f"drive also sits {abs(gap):.3f} MHz from the {gt.value} k={kk:+d} resonance"
+        report = CollisionReport("gate_resonance", gap, float(fm_alt[i, g]), gt.value, kk, text)
+        found.append((("gate_resonance", gt.value, kk), report))
+
+    # the smallest gap per offender, in order of gap
     best: dict[tuple, CollisionReport] = {}
-
-    def keep(key: tuple, report: CollisionReport) -> None:
-        prev = best.get(key)
-        if prev is None or abs(report.gap_mhz) < abs(prev.gap_mhz):
-            best[key] = report
-
-    for channel in ("f01", "f12"):
-        spec = spectra[channel]
-        for j in range(-k_window, k_window + 1):
-            if abs(spec.weight(j)) < weight_floor:
-                continue
-            f_j = spec.f_bar_ghz + j * fm_ghz
-            for label, tchan, f_t in targets:
-                if channel == own_ladder and j == plan.k and tchan == own_target:
-                    continue
-                gap = (f_j - f_t) * 1e3
-                if abs(gap) < bandwidth_mhz:
-                    kind = "tls" if tchan == "tls" else "sideband"
-                    keep(
-                        (kind, channel, j, label),
-                        CollisionReport(
-                            kind=kind,
-                            gap_mhz=float(gap),
-                            freq_mhz=float(f_j * 1e3),
-                            gate_type=None,
-                            k=j,
-                            description=(
-                                f"{channel} ladder sideband {j:+d} within "
-                                f"{abs(gap):.3f} MHz of {label}"
-                            ),
-                        ),
-                    )
-
-    fbars = {ch: spectra[ch].f_bar_ghz for ch in spectra}
-    k_set = tuple(range(-k_window, k_window + 1))
-    for (gt, kk), fm_alt in _reachable_fms(pair, fbars, k_set, tuple(GateType)).items():
-        if gt is plan.gate_type and kk == plan.k:
-            continue
-        if abs(spectra[gt.ladder_channel].weight(kk)) < weight_floor:
-            continue
-        gap = fm_alt - plan.fm_mhz
-        if abs(gap) < bandwidth_mhz:
-            keep(
-                ("gate_resonance", gt.value, kk),
-                CollisionReport(
-                    kind="gate_resonance",
-                    gap_mhz=float(gap),
-                    freq_mhz=float(fm_alt),
-                    gate_type=gt.value,
-                    k=kk,
-                    description=(
-                        f"drive also sits {abs(gap):.3f} MHz from the "
-                        f"{gt.value} k={kk:+d} resonance"
-                    ),
-                ),
-            )
-
-    return sorted(best.values(), key=lambda r: abs(r.gap_mhz))
+    for key, report in sorted(found, key=lambda kr: abs(kr[1].gap_mhz)):
+        best.setdefault(key, report)
+    return list(best.values())
 
 
 def plan_gate(
@@ -431,20 +411,15 @@ def plan_gate(
 ) -> GatePlan:
     """Resolve a gate request at a fixed operating point into a full plan.
 
-    Picks the resonant modulation frequency, computes the sideband
+    Picks the resonant modulation frequency, computes the full sideband
     spectrum of each ladder once at that frequency (weights depend on the
     ratio of frequency excursion to modulation rate), reads the gate
     weight off its own ladder's spectrum, and attaches the collision scan
     of both spectra.
     """
-    _check_scan(k_window, weight_floor)
     fm = resonance_fm(pair, point, gate_type, k)
     pulse = replace(point.pulse, fm_mhz=fm)
-    span = max(abs(k), k_window)
-    spectra = {
-        ch: sideband_weights(pair.modulated, pulse, (-span, span), channel=ch)
-        for ch in ("f01", "f12")
-    }
+    spectra = {ch: sideband_weights(pair.modulated, pulse, channel=ch) for ch in _LADDERS}
     g_eff = effective_coupling(pair, spectra[gate_type.ladder_channel].weight(k), gate_type)
     plan = GatePlan(
         gate_type=gate_type,
@@ -574,7 +549,6 @@ def optimize_weight(
         raise ValidationError("grid must be at least 4x4")
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
     thetas = np.linspace(theta_range[0], theta_range[1], n_theta, endpoint=False)
-    k_span = max(abs(k), k_window)
 
     def best_root(points) -> tuple[float, OperatingPoint] | None:
         """Largest-weight root of one node under the frequency cap, or None."""
@@ -587,7 +561,7 @@ def optimize_weight(
             if fm > max_fm_mhz:
                 continue
             spectrum = sideband_weights(
-                pair.modulated, replace(pt.pulse, fm_mhz=fm), (-k_span, k_span),
+                pair.modulated, replace(pt.pulse, fm_mhz=fm), (k, k),
                 channel=gate_type.ladder_channel,
             )
             w = abs(spectrum.weight(k))
@@ -633,6 +607,8 @@ def optimize_weight(
         )
 
     if refine:
+        from scipy.optimize import minimize
+
         a_step = (alpha_range[1] - alpha_range[0]) / max(n_alpha - 1, 1)
         t_step = (theta_range[1] - theta_range[0]) / n_theta
 

@@ -26,8 +26,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import jv
 
 from .numerics import bracketed_newton, interpolate, lobatto_points
 from .errors import (
@@ -80,8 +78,11 @@ _PROXY_MAX_DEGREE = 512
 _PROXY_TAIL = 1e-7
 _NEWTON_MAX_STEPS = 100
 
-# Sideband spectra: phase-integration nodes per period
-_SIDEBAND_NODES = 4096
+# Sideband spectra: fewest and most nodes per period, and the largest weight
+# allowed in the top quarter of the resolved orders
+_SPECTRUM_NODES = 256
+_MAX_SPECTRUM_NODES = 1 << 16
+_SPECTRUM_TAIL = 1e-13
 
 
 @lru_cache(maxsize=32)
@@ -192,6 +193,8 @@ def avg_frequency_timedomain(
     curve or the cosine series, so it serves as an independent check on
     both the kernel and the closed form.
     """
+    from scipy.integrate import simpson
+
     if nodes < 2048:
         raise ValidationError("need at least 2048 quadrature nodes")
     tau = np.linspace(0.0, 1.0, nodes + 1)
@@ -215,6 +218,8 @@ def avg_frequency_harmonics(
     relative phase theta of ``pulse`` is not used.  No truncation check is
     made; avg_frequency_bessel makes it.
     """
+    from scipy.special import jv
+
     coeffs = series.as_array()
     n = np.arange(coeffs.size)
     a1 = 2.0 * np.pi * pulse.amp_fundamental_phi0
@@ -362,7 +367,9 @@ def _sign_change_roots(
     at the midpoints between them, which costs the only extra kernel call.
     A proxy root whose bracket shows no sign change (a tangency, or an
     artefact of the proxy) is dropped; one whose bracket ends on an exactly
-    zero slope is kept, as a scan would count that sample.
+    zero slope is kept, as a scan would count that sample.  A sampled sign
+    change left without a proxy root (one that fell just past a sample)
+    adds its cell's midpoint.
     """
     lo, hi = window
     x = np.polynomial.chebyshev.chebroots(coeffs) if coeffs.size > 1 else np.empty(0)
@@ -380,7 +387,12 @@ def _sign_change_roots(
     cand, cell = cand[inside], cell[inside]
     crossing = slopes[cell - 1] * slopes[cell] <= 0.0
     cand, cell = cand[crossing], cell[crossing]
-    return cand, edges[cell - 1], edges[cell], slopes[cell - 1]
+    start = 0.5 * (edges[:-1] + edges[1:])
+    start[cell - 1] = cand
+    keep = slopes[:-1] * slopes[1:] < 0.0
+    keep[cell - 1] = True
+    cell = np.flatnonzero(keep) + 1
+    return start[cell - 1], edges[cell - 1], edges[cell], slopes[cell - 1]
 
 
 def _solve(
@@ -567,7 +579,7 @@ def sweet_spot_atlas(
 
 @dataclass(frozen=True)
 class SidebandSpectrum:
-    """Complex sideband weights of the modulated coupling."""
+    """Complex sideband weights of the modulated coupling over contiguous ks."""
 
     ks: tuple[int, ...]
     weights: tuple[complex, ...]
@@ -576,10 +588,10 @@ class SidebandSpectrum:
     channel: str
 
     def weight(self, k: int) -> complex:
-        try:
-            return self.weights[self.ks.index(k)]
-        except ValueError:
-            raise ValidationError(f"sideband {k} outside computed range") from None
+        i = k - self.ks[0]
+        if not 0 <= i < len(self.ks):
+            raise ValidationError(f"sideband {k} outside computed range")
+        return self.weights[i]
 
     def frequency_ghz(self, k: int) -> float:
         """Ladder frequency of sideband k: f_bar + k * fm."""
@@ -587,7 +599,7 @@ class SidebandSpectrum:
 
     @property
     def power_in_range(self) -> float:
-        return float(sum(abs(w) ** 2 for w in self.weights))
+        return float(np.sum(np.abs(np.array(self.weights)) ** 2))
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -600,65 +612,74 @@ class SidebandSpectrum:
 
 
 @lru_cache(maxsize=32)
-def _instantaneous_frequency(
-    curve: LadderCurve, p: int, alpha: float, theta: float, phi_ac: float, phi_dc: float
-) -> np.ndarray:
-    """Transition frequency (GHz) of ``curve`` at _SIDEBAND_NODES uniform
-    times over one period.
+def _periodic_phase(
+    curve: LadderCurve, p: int, alpha: float, theta: float, phi_ac: float, phi_dc: float,
+    nodes: int,
+) -> tuple[np.ndarray, float]:
+    """Periodic part of the accumulated phase of ``curve`` (GHz x periods,
+    zero at the start) at ``nodes`` uniform times over one period, and f_bar.
 
-    It depends on the pulse shape but not on the modulation frequency, so
-    one profile serves every fm; the array is shared and read-only.  Keyed
-    on the curve, so qubits that differ only in label share it.
+    One rfft of the instantaneous frequency, harmonic n divided by 2 pi i n,
+    and one irfft: spectrally exact, and fm-independent (cycles at fm are
+    phase / fm), so the shared read-only array is cached on the curve, not
+    the label, and the pulse shape.
     """
-    drive = _drive(p, alpha, theta, _SIDEBAND_NODES)
+    drive = _drive(p, alpha, theta, nodes)
     finst, _ = curve.at_phase(2.0 * np.pi * (phi_dc + phi_ac * drive))
-    finst.flags.writeable = False
-    return finst
+    harmonics = np.fft.rfft(finst)
+    fbar = float(harmonics[0].real) / nodes
+    # the mean is f_bar, and the Nyquist cosine integrates to zero on the nodes
+    harmonics[0] = harmonics[-1] = 0.0
+    harmonics[1:-1] /= 2j * np.pi * np.arange(1, harmonics.size - 1)
+    phase = np.fft.irfft(harmonics, nodes)
+    phase -= phase[0]
+    phase.flags.writeable = False
+    return phase, fbar
 
 
 def sideband_weights(
     spec: TransmonSpec,
     pulse: BichromaticPulse,
-    k_range: tuple[int, int] = (-10, 10),
+    k_range: tuple[int, int] | None = None,
     *,
     channel: str = "f01",
 ) -> SidebandSpectrum:
     """Sideband weights of the coupling under the modulated phase.
 
-    Integrates the instantaneous transition frequency into its accumulated
-    phase on 4096 nodes per period, detrends by the average, and reads the
-    weights off a single FFT over one fundamental period.  The weights
-    over all orders satisfy a Parseval identity (total power one); for the
-    quoted finite range the deficit is the power leaked beyond it.  The
-    instantaneous frequency does not depend on the modulation frequency,
-    so it is computed once per (ladder curve, pulse shape) and reused
-    across modulation frequencies.
+    The weights of exp(2 pi i phase / fm) come off one FFT of the periodic
+    phase (_periodic_phase, once per ladder curve and pulse shape) over one
+    fundamental period.  The node count N starts at 256, or above four
+    times the largest requested |k|, and doubles while a weight in the top
+    quarter of the resolved orders (N/4 <= |k| <= N/2) exceeds 1e-13;
+    CutoffTooSmall past 65536.  ``k_range`` (low, high) picks the orders
+    returned, by default every order below that certified quarter,
+    |k| < N/4: their power is one (Parseval), and no order left out holds
+    more than the 1e-13 tail.
     """
-    nodes = _SIDEBAND_NODES
-    klo, khi = k_range
-    if klo > khi:
+    reach = 0 if k_range is None else max(abs(k_range[0]), abs(k_range[1]))
+    if k_range is not None and k_range[0] > k_range[1]:
         raise ValidationError("k_range must be (low, high) with low <= high")
-    if khi - klo + 1 > nodes // 4:
-        raise ValidationError("k_range too wide for the node count")
-    finst = _instantaneous_frequency(
+    shape = (
         ladder_curve(spec, channel), pulse.p, pulse.alpha_rad, pulse.theta_rad,
         pulse.phi_ac_phi0, pulse.phi_dc_phi0,
     )
-    cycles = finst / pulse.fm_ghz
-    # trapezoid steps around the full period, including the wrap segment,
-    # so the accumulated phase is exactly periodic-consistent
-    dpsi = 0.5 * (cycles + np.roll(cycles, -1)) / nodes
-    psi = np.concatenate(([0.0], np.cumsum(dpsi)))
-    total = psi[-1]
-    tau = np.arange(nodes) / nodes
-    x = np.exp(2j * np.pi * (psi[:nodes] - total * tau))
-    eps = np.fft.fft(x) / nodes
-    ks = tuple(range(klo, khi + 1))
-    weights = tuple(complex(eps[k % nodes]) for k in ks)
+    nodes = max(_SPECTRUM_NODES, 1 << (4 * reach).bit_length())
+    while nodes <= _MAX_SPECTRUM_NODES:
+        phase, fbar = _periodic_phase(*shape, nodes)
+        eps = np.fft.fft(np.exp((2j * np.pi / pulse.fm_ghz) * phase)) / nodes
+        if np.max(np.abs(eps[nodes // 4 : nodes - nodes // 4 + 1])) <= _SPECTRUM_TAIL:
+            break
+        nodes *= 2
+    else:
+        raise CutoffTooSmall(
+            f"sideband spectrum at fm {pulse.fm_mhz:g} MHz needs more than "
+            f"{_MAX_SPECTRUM_NODES} nodes per period" + (f" for |k| = {reach}" if reach else "")
+        )
+    klo, khi = (1 - nodes // 4, nodes // 4 - 1) if k_range is None else k_range
     return SidebandSpectrum(
-        ks=ks,
-        weights=weights,
+        ks=tuple(range(klo, khi + 1)),
+        weights=tuple(eps[np.arange(klo, khi + 1) % nodes].tolist()),
         fm_mhz=pulse.fm_mhz,
-        f_bar_ghz=float(total * pulse.fm_ghz),
+        f_bar_ghz=fbar,
         channel=channel,
     )

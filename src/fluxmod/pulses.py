@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import erf
 
 from .errors import (
     AliasingRisk,
@@ -124,6 +122,8 @@ class EnvelopeSpec:
             raise ValidationError("rise time must be positive")
 
     def samples(self, t_ns: np.ndarray, duration_ns: float) -> np.ndarray:
+        from scipy.special import erf
+
         if duration_ns < 4.0 * self.rise_ns:
             raise ValidationError("duration must be at least four rise times")
         sigma = self.rise_ns / 5.0
@@ -322,6 +322,8 @@ class TransferFunction:
             raise ValidationError("frequencies must be strictly increasing")
         if not np.all(t > 0):
             raise ValidationError("transmission values must be positive")
+        from scipy.interpolate import PchipInterpolator
+
         # built once per table; the frozen fields never change under it
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -242,22 +242,29 @@ class TestCollisions:
             )
 
     @pytest.mark.parametrize(
-        "gate, k, k_window, resonances",
+        "gate, k, k_window, resonances, sideband",
         [
-            (GateType.CZ02, -2, 5, [("iswap", -4)]),
-            # the spectra span +-4; the f12 sideband -2, 3.9 MHz from f01_n,
-            # lies outside the window
-            (GateType.ISWAP, -4, 1, []),
+            (GateType.CZ02, -2, 5, [("iswap", -4)], None),
+            # the window hides the CZ02 k=-2 resonance, but not the f12
+            # sideband -2, 3.9 MHz from f01_n
+            (GateType.ISWAP, -4, 1, [], "f12 ladder sideband -2"),
         ],
         ids=["k_inside_window", "k_beyond_window"],
     )
-    def test_narrow_k_window_scans_only_its_sidebands(
-        self, pair12, mono_point, gate, k, k_window, resonances
+    def test_k_window_limits_only_gate_resonances(
+        self, pair12, mono_point, gate, k, k_window, resonances, sideband
     ):
         plan = plan_gate(pair12, mono_point, gate, k, k_window=k_window)
         hits = [c for c in plan.collisions if c.kind == "gate_resonance"]
         assert [(c.gate_type, c.k) for c in hits] == resonances
-        assert all(abs(c.k) <= k_window for c in plan.collisions)
+        sidebands = [c for c in plan.collisions if c.kind == "sideband"]
+        if sideband is None:
+            assert sidebands == []
+        else:
+            (hit,) = sidebands
+            assert hit.description.startswith(f"{sideband} within")
+            assert hit.description.endswith("of f01_n")
+            assert hit.gap_mhz == pytest.approx(3.858, abs=1e-3)
 
     def test_wide_k_window_checks_its_outer_resonances(self, pair12, mono_point):
         # the CZ02 k=-6 drive sits 0.64 MHz from the iSWAP k=-12 resonance
@@ -270,6 +277,27 @@ class TestCollisions:
         assert abs(hits[0].gap_mhz) < 1.0
         default = plan_gate(pair12, mono_point, GateType.CZ02, -6)
         assert all(abs(c.k) <= 10 for c in default.collisions)
+
+    def test_example_node_reports_its_outer_collisions(self, q1, pair12):
+        # alpha = 1/44 turn, theta = -1/6 turn: a sideband scan cut at
+        # |k| <= 10 calls this CZ02 k=-8 plan clean
+        alpha, theta = 2 * math.pi / 44, -2 * math.pi / 6
+        (amp, _), = sweet_spot_solve(q1, 0.0, 3, alpha, theta)
+        assert amp == pytest.approx(0.5781, abs=1e-4)
+        pulse = BichromaticPulse(
+            fm_mhz=100.0, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta, p=3
+        )
+        point = operating_point(q1, pulse)
+        plan = plan_gate(pair12, point, GateType.CZ02, -8)
+        assert plan.fm_mhz == pytest.approx(34.452, abs=1e-3)
+        (sideband,) = plan.collisions
+        assert sideband.description.startswith("f01 ladder sideband -14 within")
+        assert sideband.gap_mhz == pytest.approx(0.541, abs=1e-3)
+        # the iSWAP k=-14 resonance lies beyond the default gate-resonance window
+        wide = plan_gate(pair12, point, GateType.CZ02, -8, k_window=14)
+        found = {(c.kind, c.gate_type, c.k): c.gap_mhz for c in wide.collisions}
+        assert found[("gate_resonance", "iswap", -14)] == pytest.approx(0.039, abs=1e-3)
+        assert found[("sideband", None, -14)] == sideband.gap_mhz
 
     def test_bandwidth_validation(self, pair12, mono_point):
         plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
@@ -324,6 +352,17 @@ class TestCollisions:
         ):
             with pytest.raises(ValidationError, match="spectra"):
                 check_collisions(plan, pair12, bad)
+
+    def test_spectra_must_cover_the_floor(self, q1, pair12, mono_point):
+        # a one-order spectrum leaves out power that could hold orders above
+        # the floor, so a scan of it would not be complete
+        plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
+        spectra = plan_spectra(pair12, plan)
+        narrow = sideband_weights(q1, plan.pulse, (-2, -2), channel="f12")
+        with pytest.raises(ValidationError, match="weight_floor"):
+            check_collisions(plan, pair12, {**spectra, "f12": narrow})
+        # the full spectrum leaves out less than 1e-13 per order
+        check_collisions(plan, pair12, spectra, weight_floor=1e-6)
 
 
 class TestGatePlan:

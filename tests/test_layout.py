@@ -1,10 +1,16 @@
-"""Package layout: no module imports a private helper of a sibling module.
+"""Package layout: no module imports a private helper of a sibling module,
+and the solving and planning paths never load scipy.
 
 A helper a sibling needs is made public (as ``avg_frequency_harmonics``
 was for calibration), so each module's private names stay free to change.
+scipy serves only the oracles, the calibration fits and the optimizer's
+polish, which import it where they use it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fluxmod
@@ -41,3 +47,27 @@ def test_a_reach_in_is_caught(tmp_path):
         "from . import __version__\nfrom .modulation import _solve, sweet_spot_solve\n"
     )
     assert _reach_ins(probe) == ["probe.py:2 imports _solve from .modulation"]
+
+
+SCIPY_FREE_RUN = """
+import math, sys
+import fluxmod as fm
+q1 = fm.fit_spec(5.250, 4.426, -0.205)
+q2 = fm.fit_spec(4.269, 3.868, -0.187)
+atlas = fm.sweet_spot_atlas(q1, 0.0, 3, [0.5], [-1.0, 0.0, 1.0])
+pulse = fm.BichromaticPulse(
+    fm_mhz=100.0, phi_ac_phi0=fm.sweet_spot_solve(q1, 0.0, 1, 0.0, 0.0)[0][0], p=1
+)
+plan = fm.plan_gate(fm.PairSpec(q1, q2, 4.0), fm.operating_point(q1, pulse), fm.GateType.CZ02, -2)
+assert atlas.points and plan.collisions
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_atlas_and_plan_load_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

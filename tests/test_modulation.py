@@ -248,6 +248,16 @@ class TestSweetSpotSolve:
         s = operating_point(q1, pulse)
         assert abs(s.dfbar_dac_ghz_per_phi0) < SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0
 
+    def test_root_next_to_a_proxy_sample(self, q1):
+        # this root lies 1.7e-7 left of a Lobatto sample whose slope is
+        # +2.5e-8, and the proxy's own root lands just right of it
+        alpha, theta = 0.18652852181148008, -2.1777963434648946
+        (amp, _), = sweet_spot_solve(q1, 0.0, 1, alpha, theta)
+        assert amp == pytest.approx(0.675343, abs=2e-6)
+        curve = ladder_curve(q1)
+        left, right = avg_frequency_slopes(curve, 0.0, 1, alpha, theta, [amp - 2e-6, amp + 2e-6])[1]
+        assert left < 0.0 < right
+
     def test_bichromatic_two_roots(self, q1):
         alpha, theta = 0.085 * 2 * math.pi, -0.06 * 2 * math.pi
         roots = sweet_spot_solve(q1, 0.0, 3, alpha, theta)
@@ -442,6 +452,28 @@ class TestAtlas:
             sweet_spot_atlas(q1, 0.0, 3, [], [0.0])
 
 
+# the two near-symmetric SQUIDs of the wide-range tests, by junction ratio
+WIDE_RANGE = {"r0.837": fit_spec(5.5, 1.5, -0.2), "r0.974": fit_spec(6.0, 0.8, -0.2)}
+
+
+def _reference_weights(curve, pulse, nodes=65536):
+    """Sideband weights of ``pulse`` on ``curve`` at a fixed 65536 nodes, by
+    FFT index (order k at index k mod nodes), and the mean frequency; the
+    phase is the rfft antiderivative of the frequency."""
+    tau = np.arange(nodes) / nodes
+    drive = math.cos(pulse.alpha_rad) * np.cos(2 * math.pi * tau) + math.sin(
+        pulse.alpha_rad
+    ) * np.cos(2 * math.pi * pulse.p * tau + pulse.theta_rad)
+    finst, _ = curve.at_phase(2 * math.pi * (pulse.phi_dc_phi0 + pulse.phi_ac_phi0 * drive))
+    harmonics = np.fft.rfft(finst) / nodes
+    n = np.arange(1, harmonics.size - 1)
+    phase = np.fft.irfft(
+        np.concatenate([[0.0], harmonics[1:-1] / (2j * math.pi * n), [0.0]]) * nodes, nodes
+    )
+    weights = np.fft.fft(np.exp(2j * math.pi * (phase - phase[0]) / pulse.fm_ghz)) / nodes
+    return weights, float(harmonics[0].real)
+
+
 class TestSidebandWeights:
     def test_parseval(self, q1, mono_pulse):
         spec = sideband_weights(q1, mono_pulse, (-40, 40))
@@ -490,18 +522,22 @@ class TestSidebandWeights:
         )
 
     def test_profile_cache_ignores_the_label(self):
-        from fluxmod.modulation import _instantaneous_frequency
+        from fluxmod.modulation import _periodic_phase
 
         spec = fit_spec(5.25, 4.426, -0.205, label="a")
         pulse = BichromaticPulse(
             fm_mhz=90.0, phi_ac_phi0=0.33, alpha_rad=0.21, theta_rad=-0.52, p=5
         )
-        before = _instantaneous_frequency.cache_info()
+        before = _periodic_phase.cache_info()
         first = sideband_weights(spec, pulse, (-5, 5))
+        between = _periodic_phase.cache_info()
         again = sideband_weights(replace(spec, label="b"), pulse, (-5, 5))
-        after = _instantaneous_frequency.cache_info()
+        after = _periodic_phase.cache_info()
         assert again.weights == first.weights
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        # the relabelled qubit reuses the phase of every node count tried
+        computed = between.misses - before.misses
+        assert computed >= 1
+        assert (after.misses - between.misses, after.hits - between.hits) == (0, computed)
 
     def test_reuse_across_fm_is_exact(self, q1):
         from dataclasses import replace
@@ -517,11 +553,64 @@ class TestSidebandWeights:
         assert again.weights == first.weights
         assert again.f_bar_ghz == first.f_bar_ghz
 
+    @settings(max_examples=40)
+    @given(
+        name=st.sampled_from(["q1", "q2", "q3", "q4", "r0.837", "r0.974"]),
+        channel=st.sampled_from(["f01", "f12"]),
+        p=st.integers(1, 5),
+        fm_mhz=st.floats(1.0, 400.0),
+        alpha=st.floats(0.0, math.pi / 2),
+        theta=st.floats(-math.pi, math.pi),
+        phi_dc=st.floats(-0.2, 0.2),
+        amp=st.floats(0.05, 0.9),
+    )
+    def test_weights_match_a_65536_node_reference(
+        self, study_qubits, name, channel, p, fm_mhz, alpha, theta, phi_dc, amp
+    ):
+        spec = study_qubits[name] if name in study_qubits else WIDE_RANGE[name]
+        pulse = BichromaticPulse(
+            fm_mhz=fm_mhz, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta, p=p,
+            phi_dc_phi0=phi_dc,
+        )
+        spectrum = sideband_weights(spec, pulse, channel=channel)
+        ref, fbar = _reference_weights(ladder_curve(spec, channel), pulse)
+        ks = np.array(spectrum.ks)
+        assert np.max(np.abs(np.array(spectrum.weights) - ref[ks])) < 1e-12
+        assert spectrum.f_bar_ghz == pytest.approx(fbar, abs=1e-11)
+        # nothing the spectrum leaves out holds weight
+        outside = np.ones(ref.size, dtype=bool)
+        outside[ks] = False
+        assert np.max(np.abs(ref[outside]), initial=0.0) < 1e-13
+
+    def test_small_excursion_approaches_jacobi_anger(self, q1):
+        # a p = 1 drive of amplitude A off the sweet spot swings f01 by
+        # delta = f'(phi_dc) 2 pi A, so the weights tend to the Bessel
+        # weights J_k(delta / fm), here at delta / fm = 1.5; the curvature
+        # correction shrinks like A
+        from scipy.special import jv
+
+        phi_dc, ks = 0.15, np.arange(-12, 13)
+        _, [slope] = ladder_curve(q1).at_phase(np.array([2 * math.pi * phi_dc]), slope=True)
+        errors = []
+        for amp in (1e-3, 1e-4, 1e-5):
+            delta = slope * 2 * math.pi * amp
+            fm_ghz = abs(delta) / 1.5
+            pulse = BichromaticPulse(
+                fm_mhz=fm_ghz * 1e3, phi_ac_phi0=amp, p=1, phi_dc_phi0=phi_dc
+            )
+            spectrum = sideband_weights(q1, pulse, (-12, 12))
+            errors.append(np.max(np.abs(np.array(spectrum.weights) - jv(ks, delta / fm_ghz))))
+        assert errors[0] < 1e-3
+        assert errors[1] < 0.2 * errors[0]
+        assert errors[2] < 0.2 * errors[1]
+
     def test_validation(self, q1, mono_pulse):
         with pytest.raises(ValidationError):
             sideband_weights(q1, mono_pulse, (5, -5))
-        with pytest.raises(ValidationError):
-            sideband_weights(q1, mono_pulse, (-3000, 3000))
+        # |k| = 20000 needs more than the 65536-node cap
+        with pytest.raises(CutoffTooSmall):
+            sideband_weights(q1, mono_pulse, (-20000, 20000))
         spec = sideband_weights(q1, mono_pulse, (-4, 4))
-        with pytest.raises(ValidationError):
-            spec.weight(9)
+        for k in (9, -5, 5):
+            with pytest.raises(ValidationError):
+                spec.weight(k)

@@ -259,7 +259,7 @@ class TestTransferFunction:
             TransferFunction(freqs_mhz=freqs, transmission=(1.0, 0.9, 0.8, 0.5))
 
     def test_interpolant_built_once_per_table(self, monkeypatch):
-        import fluxmod.pulses as pulses
+        import scipy.interpolate
 
         built = []
 
@@ -267,7 +267,8 @@ class TestTransferFunction:
             built.append(args)
             return PchipInterpolator(*args)
 
-        monkeypatch.setattr(pulses, "PchipInterpolator", counting)
+        # TransferFunction imports the interpolant from scipy where it builds it
+        monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", counting)
         tf = self.make()
         freqs = np.array([12.0, 77.7, 333.0])
         first = tf.at(freqs)

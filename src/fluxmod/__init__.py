@@ -54,6 +54,7 @@ from .gates import (
     optimize_weight,
     plan_gate,
     resonance_fm,
+    resonance_fm_mhz,
 )
 from .modulation import (
     SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0,

@@ -40,6 +40,7 @@ from .gates import (
     chevron_simulate,
     optimize_weight,
     plan_gate,
+    resonance_fm_mhz,
 )
 from .modulation import (
     avg_frequency_slopes,
@@ -382,9 +383,9 @@ def _write_resonance_curves(pair: PairSpec, pulse: BichromaticPulse, path: Path)
         for gt in GateType:
             ladder = fbars[gt.ladder_channel]
             for kk in (-8, -6, -4, -2):
-                fm = (targets[gt.neighbor_channel] - ladder) * 1e3 / kk
+                fm = resonance_fm_mhz(targets[gt.neighbor_channel], ladder, kk)
                 for a, f in zip(amps, fm):
-                    if 0.0 < f <= 500.0:
+                    if f <= 500.0:
                         fh.write(f"{gt.value},{kk},{a:.12g},{f:.12g}\n")
 
 

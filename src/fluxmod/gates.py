@@ -50,6 +50,7 @@ __all__ = [
     "CollisionReport",
     "ChevronMap",
     "resonance_fm",
+    "resonance_fm_mhz",
     "enumerate_resonances",
     "check_collisions",
     "effective_coupling",
@@ -135,9 +136,11 @@ def _ladder_fbar_ghz(pair: PairSpec, point: OperatingPoint, channel: str) -> flo
     return pulse_slopes(pair.modulated, point.pulse, channel)[0]
 
 
-def _resonance_fm_mhz(target_ghz, fbar_ghz, k):
-    """Drive (MHz) that parks sideband k != 0 of a ladder averaging fbar on the
-    target line, NaN where no positive drive does; elementwise on arrays."""
+def resonance_fm_mhz(target_ghz, fbar_ghz, k):
+    """Drive (MHz) that parks sideband k != 0 of a ladder averaging
+    ``fbar_ghz`` on the line at ``target_ghz``: (target - fbar) / k, in MHz,
+    and NaN where no positive drive does.  Elementwise on arrays; every
+    resonance the planner and the CLI report comes from here."""
     fm = (np.asarray(target_ghz) - fbar_ghz) / k * 1e3
     return np.where(fm > 0.0, fm, np.nan)
 
@@ -160,7 +163,7 @@ def resonance_fm(
         raise ValidationError("sideband order k must be nonzero")
     fbar = _ladder_fbar_ghz(pair, point, gate_type.ladder_channel)
     target = _neighbor_freqs(pair)[_LADDERS.index(gate_type.neighbor_channel)]
-    fm = float(_resonance_fm_mhz(target, fbar, k))
+    fm = float(resonance_fm_mhz(target, fbar, k))
     if math.isnan(fm):
         raise WrongSideband(
             f"sideband k={k} cannot reach the {gate_type.value} target from "
@@ -201,12 +204,12 @@ def enumerate_resonances(
     ks = ks[ks != 0]
     out: dict[tuple[GateType, int], float] = {}
     for gt, t in zip(GateType, _GATE_TARGET):
-        fms = _resonance_fm_mhz(targets[t], fbars[gt.ladder_channel], ks)
+        fms = resonance_fm_mhz(targets[t], fbars[gt.ladder_channel], ks)
         out.update(((gt, int(k)), float(fm)) for k, fm in zip(ks, fms) if fm <= cap)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionReport:
     """One spectral feature too close to the planned drive.
 
@@ -235,7 +238,7 @@ class CollisionReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatePlan:
     """A fully resolved parametric gate: drive settings, speed, collisions."""
 
@@ -352,12 +355,11 @@ def check_collisions(
     targets = np.array([*_neighbor_freqs(pair), *tls_all])
 
     # one row per populated order of either ladder: ladder index, order, f_bar
-    s01, s12 = (spectra[ch] for ch in _LADDERS)
-    w = np.fromiter(itertools.chain(s01.weights, s12.weights), complex, len(s01.ks) + len(s12.ks))
-    rows = np.flatnonzero(np.abs(w) >= weight_floor)
-    ladder = (rows >= len(s01.ks)).astype(int)
-    order = rows + np.where(ladder, s12.ks[0] - len(s01.ks), s01.ks[0])
-    fbar = np.where(ladder, s12.f_bar_ghz, s01.f_bar_ghz)
+    picked = [np.flatnonzero(np.abs(spectra[ch].weight_array) >= weight_floor) for ch in _LADDERS]
+    counts = [i.size for i in picked]
+    ladder = np.repeat((0, 1), counts)
+    order = np.concatenate([i + spectra[ch].ks[0] for i, ch in zip(picked, _LADDERS)])
+    fbar = np.repeat([spectra[ch].f_bar_ghz for ch in _LADDERS], counts)
     found: list[tuple[tuple, CollisionReport]] = []
 
     # sidebands against the neighbor lines (columns 0, 1) and the TLS; the
@@ -380,7 +382,7 @@ def check_collisions(
     # its ladder, at the drive that parks that order on its target
     rows = (order != 0) & (np.abs(order) <= k_window)
     ladder, order = ladder[rows, None], order[rows, None]
-    fm_alt = _resonance_fm_mhz(targets[_GATE_TARGET], fbar[rows, None], order)
+    fm_alt = resonance_fm_mhz(targets[_GATE_TARGET], fbar[rows, None], order)
     gaps = fm_alt - plan.fm_mhz
     hits = (ladder == _GATE_LADDER) & (np.abs(gaps) < bandwidth_mhz)
     for i, g in zip(*np.nonzero(hits)):

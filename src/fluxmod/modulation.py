@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,6 +70,12 @@ SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0 = 5e-5
 _QUAD_NODES = 512
 _MAX_QUAD_NODES = 1 << 15
 _ALIAS_TOL = 1e-11
+
+# Averaging kernel: most (amplitude, node) elements summed in one block, so
+# a 33-amplitude proxy call at 512 nodes is one block, and the per-thread
+# buffers that every block reuses
+_BLOCK_ELEMENTS = 1 << 15
+_workspace = threading.local()
 
 # Sweet-spot root finder: first and largest degree of the Chebyshev proxy
 # of the phi_ac slope, the relative size of its last three coefficients
@@ -147,6 +154,15 @@ def _quadrature_nodes(curve: LadderCurve, p: int, alpha: float, amp_max: float) 
     return nodes
 
 
+def _block_buffers(size: int) -> list[np.ndarray]:
+    """This thread's nine flat kernel buffers of ``size`` elements or more,
+    kept across calls and regrown only when a larger block needs them."""
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _workspace.buffers = [np.empty(size) for _ in range(9)]
+    return buffers
+
+
 def avg_frequency_slopes(
     curve: LadderCurve,
     phi_dc: float,
@@ -164,20 +180,34 @@ def avg_frequency_slopes(
     node count is 512, doubled only where an a-priori aliasing bound at
     the batch's largest amplitude exceeds 1e-11 GHz (CutoffTooSmall past
     32768).  The curve and its flux slope are summed by Clenshaw
-    recurrence at every (amplitude, node) at once, so a full amplitude scan
-    is one batched evaluation.  The slopes are exact derivatives of the
-    same quadrature, not finite differences.
+    recurrence on blocks of amplitude rows, at most 32768 (amplitude,
+    node) elements each, in buffers that each thread keeps across calls:
+    a warm call allocates no amplitude x node array, only its three
+    results.  The slopes are exact derivatives of the same quadrature, not
+    finite differences.
     """
     amps = np.atleast_1d(np.asarray(amps, dtype=float))
     nodes = _quadrature_nodes(curve, p, alpha_rad, float(np.max(np.abs(amps), initial=0.0)))
     drive = _drive(p, alpha_rad, theta_rad, nodes)
-    phi = np.multiply.outer(amps, drive)
-    phi += phi_dc
-    phi *= 2.0 * np.pi
-    f, g = curve.at_phase(phi, slope=True)
-    # d phi / d phi_ac = 2 pi drive and d phi / d phi_dc = 2 pi
+    rows = max(1, _BLOCK_ELEMENTS // nodes)
+    buffers = _block_buffers(min(rows, amps.size) * nodes)
+    fbar, dac, ddc = (np.empty(amps.size) for _ in range(3))
+    for start in range(0, amps.size, rows):
+        block = amps[start : start + rows]
+        phi, *work = (b[: block.size * nodes].reshape(block.size, nodes) for b in buffers)
+        np.einsum("i,j->ij", block, drive, out=phi)
+        phi += phi_dc
+        phi *= 2.0 * np.pi
+        f, g = curve._phase_sums(phi, work, slope=True)
+        # d phi / d phi_ac = 2 pi drive and d phi / d phi_dc = 2 pi
+        out = slice(start, start + block.size)
+        f.mean(axis=1, out=fbar[out])
+        np.dot(g, drive, out=dac[out])
+        g.sum(axis=1, out=ddc[out])
     scale = 2.0 * np.pi / nodes
-    return f.mean(axis=1), scale * (g @ drive), scale * g.sum(axis=1)
+    dac *= scale
+    ddc *= scale
+    return fbar, dac, ddc
 
 
 def avg_frequency_timedomain(
@@ -269,7 +299,7 @@ def pulse_slopes(
     return float(fbar[0]), float(dac[0]), float(ddc[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatingPoint:
     """A pulse setting together with its averaged-frequency response."""
 
@@ -473,7 +503,7 @@ def sweet_spot_solve(
     return [(amp, fbar) for amp, fbar, _, _ in roots]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtlasResult:
     """Sweet-spot candidates over an (alpha, theta) grid."""
 
@@ -577,21 +607,29 @@ def sweet_spot_atlas(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SidebandSpectrum:
-    """Complex sideband weights of the modulated coupling over contiguous ks."""
+    """Complex sideband weights of the modulated coupling over contiguous ks.
+
+    ``weight_array`` holds them as a read-only array; ``weights`` is the
+    same values as a tuple of complex numbers.
+    """
 
     ks: tuple[int, ...]
-    weights: tuple[complex, ...]
+    weight_array: np.ndarray
     fm_mhz: float
     f_bar_ghz: float
     channel: str
+
+    @property
+    def weights(self) -> tuple[complex, ...]:
+        return tuple(self.weight_array.tolist())
 
     def weight(self, k: int) -> complex:
         i = k - self.ks[0]
         if not 0 <= i < len(self.ks):
             raise ValidationError(f"sideband {k} outside computed range")
-        return self.weights[i]
+        return complex(self.weight_array[i])
 
     def frequency_ghz(self, k: int) -> float:
         """Ladder frequency of sideband k: f_bar + k * fm."""
@@ -599,7 +637,7 @@ class SidebandSpectrum:
 
     @property
     def power_in_range(self) -> float:
-        return float(np.sum(np.abs(np.array(self.weights)) ** 2))
+        return float(np.vdot(self.weight_array, self.weight_array).real)
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -676,9 +714,11 @@ def sideband_weights(
             f"{_MAX_SPECTRUM_NODES} nodes per period" + (f" for |k| = {reach}" if reach else "")
         )
     klo, khi = (1 - nodes // 4, nodes // 4 - 1) if k_range is None else k_range
+    weights = eps[np.arange(klo, khi + 1) % nodes]
+    weights.flags.writeable = False
     return SidebandSpectrum(
         ks=tuple(range(klo, khi + 1)),
-        weights=tuple(eps[np.arange(klo, khi + 1) % nodes].tolist()),
+        weight_array=weights,
         fm_mhz=pulse.fm_mhz,
         f_bar_ghz=fbar,
         channel=channel,

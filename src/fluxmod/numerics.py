@@ -5,13 +5,14 @@ Chebyshev interpolation on [-1, 1] with the degree chosen at runtime
 transmon curve in sqrt(EJ_eff) and the sweet-spot solver's proxy of the ac
 slope both sample at the Chebyshev-Lobatto points cos(pi j / n) and double
 n, reusing every earlier sample, until the last coefficients are
-negligible; Clenshaw recurrence sums such a series.  A bracketed Newton
-iteration polishes many roots of one batched function at once.
+negligible; Clenshaw recurrence sums such a series, in place on buffers
+the caller may keep.  A bracketed Newton iteration polishes many roots of
+one batched function at once.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,28 +68,40 @@ def interpolate(
         values, n = merged, 2 * n
 
 
-def clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def clenshaw(
+    coeffs: np.ndarray,
+    x: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    work: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
     """Sum of coeffs[k] T_k(x) over k, at every x.
 
     The recurrence b_k = c_k + 2 x b_(k+1) - b_(k+2) runs in place on three
-    buffers of x's shape.
+    buffers of x's shape, beside a fourth that holds 2 x; ``work`` may
+    supply those four, and ``out`` the array the sum is written to, so a
+    caller that keeps its buffers allocates nothing.  ``out`` may be x
+    itself but none of ``work``; both are fresh by default.
     """
-    b1 = np.full(x.shape, coeffs[-1])
+    x2, b1, b2, tmp = (np.empty(x.shape) for _ in range(4)) if work is None else work
+    if out is None:
+        out = np.empty(x.shape)
     if coeffs.size == 1:
-        return b1
-    x2 = 2.0 * x
-    b2 = np.zeros_like(b1)
-    tmp = np.empty_like(b1)
+        out.fill(coeffs[0])
+        return out
+    np.multiply(x, 2.0, out=x2)
+    b1.fill(coeffs[-1])
+    b2.fill(0.0)
     for c in coeffs[-2:0:-1]:
         np.multiply(x2, b1, out=tmp)
         tmp -= b2
         tmp += c
         b1, b2, tmp = tmp, b1, b2
     # f = c_0 + x b_1 - b_2
-    np.multiply(x, b1, out=tmp)
-    tmp -= b2
-    tmp += coeffs[0]
-    return tmp
+    np.multiply(x, b1, out=out)
+    out -= b2
+    out += coeffs[0]
+    return out
 
 
 def bracketed_newton(

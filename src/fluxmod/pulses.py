@@ -49,7 +49,7 @@ def wrap_angle(theta_rad: float) -> float:
     return float((theta_rad + math.pi) % (2.0 * math.pi) - math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BichromaticPulse:
     """Flux drive Phi_dc + Phi_ac [cos(a) cos(2 pi f t) + sin(a) cos(2 pi p f t + theta)].
 

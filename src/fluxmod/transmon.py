@@ -334,33 +334,49 @@ class LadderCurve:
         self, phi: np.ndarray, slope: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Frequency at the angular flux ``phi`` = 2 pi flux, and with
-        ``slope`` also its derivative in phi (GHz per radian).
+        ``slope`` also its derivative in phi (GHz per radian), in fresh
+        arrays.
 
         EJ_eff^2 comes from cos phi, clipped below at (EJ1 - EJ2)^2 against
         round-off; the series is summed by Clenshaw recurrence, and the
         slope is the chain rule through u(EJ_eff(phi)) on a second Clenshaw
         sum of the derivative series.
         """
+        return self._phase_sums(phi, [np.empty(np.shape(phi)) for _ in range(8)], slope=slope)
+
+    def _phase_sums(
+        self, phi: np.ndarray, work: list[np.ndarray], slope: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """at_phase on eight caller-owned arrays of phi's shape, ``work``,
+        that hold every intermediate, so a caller that keeps them allocates
+        nothing (the averaging kernel's per-thread workspace).
+
+        The frequency lands in work[3] and the slope in work[2]; phi is
+        only read.
+        """
         e1, e2 = self.ej1_ghz, self.ej2_ghz
         lo, hi = math.sqrt(e1 - e2), math.sqrt(e1 + e2)
-        ej = np.cos(phi)
+        ej, u, x, f, *scratch = work
+        np.cos(phi, out=ej)
         ej *= 2.0 * e1 * e2
         ej += e1 * e1 + e2 * e2
         np.maximum(ej, (e1 - e2) ** 2, out=ej)
         np.sqrt(ej, out=ej)
-        u = np.sqrt(ej)
-        x = u - 0.5 * (hi + lo)
+        np.sqrt(ej, out=u)
+        np.subtract(u, 0.5 * (hi + lo), out=x)
         x *= 2.0 / (hi - lo)
         series, slope_series = self._clenshaw_series
-        f = clenshaw(series, x)
+        f = clenshaw(series, x, out=f, work=scratch)
         if not slope:
             return f, None
         # dx/dphi = (2 / (hi - lo)) du/dphi and du/dphi = -e1 e2 sin(phi) / (2 u EJ_eff)
-        dfdphi = clenshaw(slope_series, x)
-        dfdphi *= np.sin(phi)
         u *= ej
         if e1 == e2:  # EJ_eff vanishes at half flux, where the slope is zero, not 0/0
             u[u == 0.0] = np.inf
+        sin = np.sin(phi, out=ej)
+        # the last read of x: the slope's sum overwrites it
+        dfdphi = clenshaw(slope_series, x, out=x, work=scratch)
+        dfdphi *= sin
         dfdphi /= u
         return f, dfdphi
 

@@ -196,6 +196,94 @@ class TestQuadratureNodes:
             avg_frequency_slopes(curve, 0.0, 5, 1.2, 0.0, [0.9])
 
 
+def _row_by_row(curve, phi_dc, p, alpha, theta, amps):
+    rows = [avg_frequency_slopes(curve, phi_dc, p, alpha, theta, [a]) for a in amps]
+    return [np.concatenate(column) for column in zip(*rows)]
+
+
+class TestKernelBlocks:
+    # (node count, amplitude count): 1, one row short of a full block, one
+    # row past it, and 1025 rows; the cases cycle through both ladders and p
+    CASES = [
+        (nodes, count)
+        for nodes in (512, 1024, 2048, 4096, 8192, 16384, 32768)
+        for rows in [modulation._BLOCK_ELEMENTS // nodes]
+        for count in sorted({1, max(1, rows - 1), rows + 1})
+    ] + [(512, 1025), (512, 1025)]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_blocks_match_one_row_at_a_time(self, q3, monkeypatch, case):
+        nodes, count = self.CASES[case]
+        monkeypatch.setattr(modulation, "_QUAD_NODES", nodes)
+        curve = ladder_curve(q3, ("f01", "f12")[case % 2])
+        p = 1 + case % 5
+        rng = np.random.default_rng(case)
+        alpha, theta = rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi)
+        phi_dc, amps = rng.uniform(-0.2, 0.2), rng.uniform(0.05, 0.9, count)
+        assert modulation._quadrature_nodes(curve, p, alpha, amps.max()) == nodes
+        fbar, dac, ddc = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)
+        ref = _row_by_row(curve, phi_dc, p, alpha, theta, amps)
+        assert np.max(np.abs(fbar - ref[0])) <= 1e-14
+        assert np.max(np.abs(dac - ref[1])) <= 1e-12
+        assert np.max(np.abs(ddc - ref[2])) <= 1e-12
+
+    def test_warm_call_allocates_no_amplitude_by_node_array(self, q1):
+        import tracemalloc
+
+        curve, amps = ladder_curve(q1), np.linspace(0.05, 0.9, 1025)
+        avg_frequency_slopes(curve, 0.01, 3, 0.4, 0.7, amps)
+        tracemalloc.start()
+        try:
+            avg_frequency_slopes(curve, 0.01, 3, 0.4, 0.7, amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 1025 x 512 array of doubles alone is 4.2 MB
+        assert peak < 1 << 20
+
+    def test_results_do_not_share_the_workspace(self, q1):
+        curve = ladder_curve(q1)
+        first = avg_frequency_slopes(curve, 0.0, 3, 0.4, 0.7, np.linspace(0.1, 0.8, 33))
+        kept = [a.copy() for a in first]
+        phase = curve.at_phase(np.linspace(0.0, 6.0, 512), slope=True)
+        kept_phase = [a.copy() for a in phase]
+        avg_frequency_slopes(curve, 0.1, 5, 1.0, -0.2, np.linspace(0.2, 0.9, 40))
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+        assert all(np.array_equal(a, b) for a, b in zip(phase, kept_phase))
+
+    def test_threads_keep_their_own_workspace(self, q1, q3):
+        import sys
+        import threading
+
+        # four callers on two cores, each with its own curve, pulse and batch size
+        calls = [
+            (ladder_curve(spec), 0.05 * i, 1 + 2 * (i % 3), 0.3 * i, -0.5 * i,
+             np.linspace(0.05, 0.9, 17 + 16 * i))
+            for i, spec in enumerate((q1, q3, q1, q3))
+        ]
+        expected = [avg_frequency_slopes(*c) for c in calls]
+        mismatches = []
+
+        def worker(i):
+            for _ in range(20):
+                got = avg_frequency_slopes(*calls[i])
+                if not all(np.array_equal(a, b) for a, b in zip(got, expected[i])):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(calls))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
+
+
 class TestSensitivities:
     def test_dc_protection_at_zero_bias(self, q1, bichro_pulse):
         s = operating_point(q1, bichro_pulse)
@@ -331,12 +419,7 @@ class TestSweetSpotSolve:
         # of the kernel's own slope resolves
         spec, xtol = study_qubits[name], 1e-6
         grid = np.linspace(0.05, 0.9, 1025)
-        curve = ladder_curve(spec)
-        # in cache-sized batches; one 1025-amplitude call is three times slower
-        slope = np.concatenate([
-            avg_frequency_slopes(curve, phi_dc, p, alpha, theta, batch)[1]
-            for batch in np.array_split(grid, 16)
-        ])
+        slope = avg_frequency_slopes(ladder_curve(spec), phi_dc, p, alpha, theta, grid)[1]
         changes = np.nonzero(slope[:-1] * slope[1:] < 0.0)[0]
         try:
             roots = sweet_spot_solve(spec, phi_dc, p, alpha, theta, xtol=xtol)

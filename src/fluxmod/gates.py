@@ -218,6 +218,10 @@ class CollisionReport:
     activates another gate), or "tls" (a sideband lands on a listed
     defect).  ``freq_mhz`` is the offending feature's frequency: absolute
     for sideband/tls kinds, a modulation frequency for gate_resonance.
+    ``ladder`` and ``target`` name the sideband's ladder and the line it
+    lands on (sideband/tls kinds only).  The text ``description`` is built
+    from these fields when read, so a kept report holds no string of its
+    own.
     """
 
     kind: str
@@ -225,7 +229,20 @@ class CollisionReport:
     freq_mhz: float
     gate_type: str | None = None
     k: int | None = None
-    description: str = ""
+    ladder: str | None = None
+    target: str | None = None
+
+    @property
+    def description(self) -> str:
+        if self.kind == "gate_resonance":
+            return (
+                f"drive also sits {abs(self.gap_mhz):.3f} MHz from the "
+                f"{self.gate_type} k={self.k:+d} resonance"
+            )
+        return (
+            f"{self.ladder} ladder sideband {self.k:+d} within "
+            f"{abs(self.gap_mhz):.3f} MHz of {self.target}"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -240,19 +257,26 @@ class CollisionReport:
 
 @dataclass(frozen=True, slots=True)
 class GatePlan:
-    """A fully resolved parametric gate: drive settings, speed, collisions."""
+    """A fully resolved parametric gate: drive settings, speed, collisions.
+
+    ``duration_ns`` is gate_duration of the gate type and g_eff, worked
+    out when read rather than stored.
+    """
 
     gate_type: GateType
     k: int
     pulse: BichromaticPulse
     f_bar_ghz: float
     g_eff_mhz: float
-    duration_ns: float
     collisions: tuple[CollisionReport, ...] = ()
 
     @property
     def fm_mhz(self) -> float:
         return self.pulse.fm_mhz
+
+    @property
+    def duration_ns(self) -> float:
+        return gate_duration(self.gate_type, self.g_eff_mhz)
 
     def to_dict(self) -> dict:
         return {
@@ -374,8 +398,7 @@ def check_collisions(
             continue
         ch, j, gap = _LADDERS[ladder[i]], int(order[i]), float(gaps[i, t])
         kind = "sideband" if t < 2 else "tls"
-        text = f"{ch} ladder sideband {j:+d} within {abs(gap):.3f} MHz of {labels[t]}"
-        report = CollisionReport(kind, gap, float(f_ghz[i] * 1e3), None, j, text)
+        report = CollisionReport(kind, gap, float(f_ghz[i] * 1e3), None, j, ch, labels[t])
         found.append(((kind, ch, j, labels[t]), report))
 
     # gate resonances: column g holds gate type g's resonance on the rows of
@@ -389,8 +412,7 @@ def check_collisions(
         gt, kk, gap = gate_types[g], int(order[i, 0]), float(gaps[i, g])
         if g == g_own and kk == plan.k:
             continue
-        text = f"drive also sits {abs(gap):.3f} MHz from the {gt.value} k={kk:+d} resonance"
-        report = CollisionReport("gate_resonance", gap, float(fm_alt[i, g]), gt.value, kk, text)
+        report = CollisionReport("gate_resonance", gap, float(fm_alt[i, g]), gt.value, kk)
         found.append((("gate_resonance", gt.value, kk), report))
 
     # the smallest gap per offender, in order of gap
@@ -423,13 +445,9 @@ def plan_gate(
     pulse = replace(point.pulse, fm_mhz=fm)
     spectra = {ch: sideband_weights(pair.modulated, pulse, channel=ch) for ch in _LADDERS}
     g_eff = effective_coupling(pair, spectra[gate_type.ladder_channel].weight(k), gate_type)
+    gate_duration(gate_type, g_eff)  # ValidationError unless g_eff is positive
     plan = GatePlan(
-        gate_type=gate_type,
-        k=k,
-        pulse=pulse,
-        f_bar_ghz=point.f_bar_ghz,
-        g_eff_mhz=g_eff,
-        duration_ns=gate_duration(gate_type, g_eff),
+        gate_type=gate_type, k=k, pulse=pulse, f_bar_ghz=point.f_bar_ghz, g_eff_mhz=g_eff
     )
     collisions = check_collisions(
         plan,

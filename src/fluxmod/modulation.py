@@ -65,11 +65,13 @@ __all__ = [
 # 50 kHz per flux quantum, on both knobs
 SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0 = 5e-5
 
-# Averaging quadrature: fewest and most nodes per period, and the bound on
-# the aliasing error of f_bar (GHz) that picks the count in between
-_QUAD_NODES = 512
+# Averaging quadrature: fewest and most nodes per period, and the bounds on
+# the aliasing error of f_bar (GHz) and of both slopes (GHz per flux
+# quantum) that pick the count in between
+_QUAD_NODES = 32
 _MAX_QUAD_NODES = 1 << 15
 _ALIAS_TOL = 1e-11
+_SLOPE_ALIAS_TOL = 1e-9
 
 # Averaging kernel: most (amplitude, node) elements summed in one block, so
 # a 33-amplitude proxy call at 512 nodes is one block, and the per-thread
@@ -108,9 +110,9 @@ def _drive(p: int, alpha: float, theta: float, nodes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _bandwidth_limit(curve: LadderCurve, p: int, nodes: int) -> float:
-    """Largest Carson bandwidth per harmonic for which ``nodes`` nodes alias
-    by at most _ALIAS_TOL into f_bar.
+def _bandwidth_limits(curve: LadderCurve, p: int, fewest: int, most: int) -> np.ndarray:
+    """Largest Carson bandwidth per harmonic that each node count
+    fewest, 2 fewest, ..., most certifies, ascending; -1 where none does.
 
     Harmonic n of the curve's cosine series, c_n cos(2 pi n flux), under a
     drive of Carson bandwidth b = 2 pi amp (|cos alpha| + p |sin alpha|)
@@ -118,48 +120,75 @@ def _bandwidth_limit(curve: LadderCurve, p: int, nodes: int) -> float:
     |Im tau| <= s / (2 pi p) bounds by exp(n b sinh(s) / p - k s / p) at
     order k; minimized over s this is exp(-g / p) with
     g = k acosh(k / (n b)) - sqrt(k^2 - (n b)^2) for k > n b, else 0.  The
-    rectangle rule on ``nodes`` points misses the orders +-nodes, so the
-    bound is 2 sum_n |c_n| exp(-g(n b, nodes) / p), increasing in b; the
-    limit is found by bisection, once per (curve, p, node count).
+    rectangle rule on N points misses the orders +-N, so f_bar aliases by
+    at most 2 sum_n |c_n| exp(-g(n b, N) / p).  The phi_dc slope weighs
+    harmonic n by 2 pi n |c_n|; the phi_ac slope also multiplies by the
+    drive, whose two tones (|drive| <= sqrt 2) shift orders by up to p, so
+    its bound is sqrt 2 times that sum taken at order N - p, and no N <= p
+    is certified.  Each bound increases in b, so the limit of every count
+    at once (f_bar within _ALIAS_TOL, both slopes within
+    _SLOPE_ALIAS_TOL) comes from one vectorized bisection per (curve, p).
     """
     mags = curve.harmonics
     n = np.arange(1, mags.size + 1)
+    nodes = fewest << np.arange(max(1, (most // fewest).bit_length()))
+    # orders N and N - p, and the bounds' harmonic weights over their
+    # tolerances: f_bar and the phi_dc slope at N, the phi_ac slope at N - p;
+    # an order below 1 certifies nothing and is raised to 1 only to keep
+    # the bisection finite
+    orders = np.stack([nodes, nodes - p]).astype(float)
+    certifiable = orders[1] > 0
+    orders = np.maximum(orders, 1.0)[:, :, None]
+    squares, exponents = orders * orders, orders / p
+    at_n = np.stack([mags / _ALIAS_TOL, 2.0 * np.pi * n * mags / _SLOPE_ALIAS_TOL], axis=1)
+    at_n_minus_p = math.sqrt(2.0) * at_n[:, 1]
 
-    def alias(b: float) -> float:
-        beta = np.minimum(n * b, nodes)
-        g = nodes * np.arccosh(nodes / beta) - np.sqrt(nodes * nodes - beta * beta)
-        return 2.0 * float(np.sum(mags * np.exp(-g / p)))
+    def aliased(b: np.ndarray) -> np.ndarray:
+        beta = np.minimum(n * b[:, None], orders)
+        root = np.sqrt(squares - beta * beta)
+        # exp(-g / p), with acosh(k / beta) = log((k + root) / beta)
+        decay = np.exp(root / p - exponents * np.log((orders + root) / beta))
+        worst = np.maximum((decay[0] @ at_n).max(axis=1), decay[1] @ at_n_minus_p)
+        return 2.0 * worst > 1.0
 
-    lo, hi = 0.0, float(nodes)
-    for _ in range(60):
+    # 32 halvings leave the limit within nodes / 4e9 below its exact value
+    lo, hi = np.zeros(nodes.size), nodes.astype(float)
+    for _ in range(32):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if alias(mid) <= _ALIAS_TOL else (lo, mid)
-    return lo
+        over = aliased(mid)
+        lo, hi = np.where(over, lo, mid), np.where(over, mid, hi)
+    return np.where(certifiable, lo, -1.0)
 
 
 def _quadrature_nodes(curve: LadderCurve, p: int, alpha: float, amp_max: float) -> int:
-    """Nodes per period for the average: 512, doubled while the aliasing
-    bound of _bandwidth_limit exceeds _ALIAS_TOL at the largest amplitude."""
+    """Nodes per period for the average: the fewest power-of-two multiple
+    of _QUAD_NODES whose aliasing bound (_bandwidth_limits) at the largest
+    amplitude holds f_bar within 1e-11 GHz and both slopes within 1e-9 GHz
+    per flux quantum; CutoffTooSmall past _MAX_QUAD_NODES."""
     if p < 1:
         raise ValidationError("tone multiplier p must be an integer >= 1")
+    require_finite(amplitude=amp_max)
     bandwidth = 2.0 * np.pi * amp_max * (abs(math.cos(alpha)) + p * abs(math.sin(alpha)))
-    nodes = _QUAD_NODES
-    while bandwidth > _bandwidth_limit(curve, p, nodes):
-        nodes *= 2
-        if nodes > _MAX_QUAD_NODES:
-            raise CutoffTooSmall(
-                f"averaging needs more than {_MAX_QUAD_NODES} nodes per period "
-                f"at p={p}, amplitude {amp_max:g}"
-            )
-    return nodes
+    limits = _bandwidth_limits(curve, p, _QUAD_NODES, _MAX_QUAD_NODES)
+    level = int(np.searchsorted(limits, bandwidth))
+    if level == limits.size:
+        raise CutoffTooSmall(
+            f"averaging needs more than {_MAX_QUAD_NODES} nodes per period "
+            f"at p={p}, amplitude {amp_max:g}"
+        )
+    return _QUAD_NODES << level
 
 
 def _block_buffers(size: int) -> list[np.ndarray]:
     """This thread's nine flat kernel buffers of ``size`` elements or more,
-    kept across calls and regrown only when a larger block needs them."""
+    kept across calls and regrown only when a larger block needs them.
+
+    The nine are rows of one allocation, so a regrown workspace hands its
+    old memory back whole instead of leaving nine holes in the heap.
+    """
     buffers = getattr(_workspace, "buffers", None)
     if buffers is None or buffers[0].size < size:
-        buffers = _workspace.buffers = [np.empty(size) for _ in range(9)]
+        buffers = _workspace.buffers = list(np.empty((9, size)))
     return buffers
 
 
@@ -177,14 +206,16 @@ def avg_frequency_slopes(
     entry per amplitude, in GHz and GHz per flux quantum, for the ladder
     of ``curve`` (ladder_curve).  Rectangle rule on a uniform grid over one
     fundamental period, spectrally exact for the periodic integrand; the
-    node count is 512, doubled only where an a-priori aliasing bound at
-    the batch's largest amplitude exceeds 1e-11 GHz (CutoffTooSmall past
-    32768).  The curve and its flux slope are summed by Clenshaw
-    recurrence on blocks of amplitude rows, at most 32768 (amplitude,
-    node) elements each, in buffers that each thread keeps across calls:
-    a warm call allocates no amplitude x node array, only its three
-    results.  The slopes are exact derivatives of the same quadrature, not
-    finite differences.
+    node count is the fewest power of two from 32 up whose a-priori
+    aliasing bound at the batch's largest amplitude holds f_bar within
+    1e-11 GHz and both slopes within 1e-9 GHz per flux quantum
+    (CutoffTooSmall past 32768); a count at or below p is never certified.
+    The curve and its flux slope are summed by Clenshaw recurrence on
+    blocks of amplitude rows, at most 32768 (amplitude, node) elements
+    each, in buffers that each thread keeps across calls: a warm call
+    allocates no amplitude x node array, only its three results.  The
+    slopes are exact derivatives of the same quadrature, not finite
+    differences.
     """
     amps = np.atleast_1d(np.asarray(amps, dtype=float))
     nodes = _quadrature_nodes(curve, p, alpha_rad, float(np.max(np.abs(amps), initial=0.0)))

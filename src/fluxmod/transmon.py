@@ -241,8 +241,8 @@ def fit_spec(
 
     def residual(x: np.ndarray) -> np.ndarray:
         s = TransmonSpec(ej1_ghz=x[0], ej2_ghz=x[1], ec_ghz=x[2])
-        f01_0, f12_0 = transition_frequencies(s, 0.0)
-        f01_h, _ = transition_frequencies(s, 0.5)
+        # both band edges in one batched diagonalization
+        (f01_0, f01_h), (f12_0, _) = transition_frequencies(s, np.array([0.0, 0.5]))
         return np.array([f01_0, f01_h, f12_0 - f01_0]) - targets
 
     # transmon asymptotics: f01 ~ sqrt(8 EJ EC) - EC, anharm ~ -EC

@@ -1,10 +1,11 @@
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fluxmod.modulation as modulation
@@ -165,15 +166,18 @@ def test_wide_range_kernel_matches_time_domain(band, p, alpha, theta, amp):
 class TestQuadratureNodes:
     @pytest.mark.parametrize("name", ["q1", "q2", "q3", "q4"])
     def test_study_qubits_keep_512_nodes(self, study_qubits, name):
+        # 512 nodes per period, once the fixed count, stays the most any
+        # study-qubit pulse needs
         curve = ladder_curve(study_qubits[name])
         for alpha in np.linspace(0.0, math.pi / 2, 17):
-            assert modulation._quadrature_nodes(curve, 5, alpha, 0.9) == 512
+            assert modulation._quadrature_nodes(curve, 5, alpha, 0.9) <= 512
 
-    def test_chosen_count_agrees_with_twice_as_many(self, monkeypatch):
-        curve = ladder_curve(fit_spec(5.5, 1.5, -0.2))
+    def test_chosen_count_agrees_with_twice_as_many(self, q1, monkeypatch):
+        # a wide-range qubit, then a study qubit, on one stream of draws
+        curves = [ladder_curve(fit_spec(5.5, 1.5, -0.2))] * 12 + [ladder_curve(q1)] * 12
         rng = np.random.default_rng(7)
         counts = []
-        for _ in range(12):
+        for curve in curves:
             p = int(rng.integers(1, 6))
             alpha, theta = rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi)
             amps = rng.uniform(0.05, 0.9, 3)
@@ -186,8 +190,52 @@ class TestQuadratureNodes:
                 doubled = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)
             assert np.max(np.abs(chosen[0] - doubled[0])) < 1e-12
             assert np.max(np.abs(chosen[1] - doubled[1])) < 1e-9
-        # the rule both keeps 512 and doubles on this qubit
-        assert min(counts) == 512 and max(counts) > 512
+        # the rule both goes below 512 and doubles past it
+        assert min(counts) < 512 < max(counts)
+
+    @settings(max_examples=150)
+    @given(
+        f_max=st.floats(3.0, 7.0),
+        tunability=st.floats(0.02, 2.0 / 3.0),
+        channel=st.sampled_from(["f01", "f12"]),
+        p=st.integers(1, 5),
+        alpha=st.floats(0.0, math.pi / 2),
+        theta=st.floats(-math.pi, math.pi),
+        phi_dc=st.floats(-0.5, 0.5),
+        amps=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=8),
+    )
+    @example(
+        f_max=5.25, tunability=0.157, channel="f01", p=40, alpha=0.1, theta=0.3,
+        phi_dc=0.05, amps=[0.9],
+    )
+    @example(
+        f_max=5.25, tunability=0.157, channel="f01", p=40, alpha=0.1, theta=0.3,
+        phi_dc=0.05, amps=[0.0],
+    )
+    def test_any_chosen_count_agrees_with_twice_as_many(
+        self, f_max, tunability, channel, p, alpha, theta, phi_dc, amps
+    ):
+        # anywhere in the fit domain the bound either certifies a count
+        # above p that twice as many nodes confirm, or refuses
+        curve = ladder_curve(fit_spec(f_max, f_max * (1.0 - tunability), -0.2), channel)
+        amps = np.array(amps)
+        try:
+            nodes = modulation._quadrature_nodes(curve, p, alpha, amps.max())
+        except CutoffTooSmall:
+            return
+        assert nodes > p
+        chosen = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)
+        with mock.patch.object(modulation, "_QUAD_NODES", 2 * nodes):
+            doubled = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)
+        assert np.max(np.abs(chosen[0] - doubled[0])) < 1e-12
+        assert np.max(np.abs(chosen[1] - doubled[1])) < 1e-9
+        assert np.max(np.abs(chosen[2] - doubled[2])) < 1e-9
+
+    def test_non_finite_amplitude_is_rejected(self, q1):
+        curve = ladder_curve(q1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="amplitude"):
+                avg_frequency_slopes(curve, 0.0, 3, 0.5, 0.1, [0.3, bad])
 
     def test_node_count_is_capped(self, monkeypatch):
         monkeypatch.setattr(modulation, "_MAX_QUAD_NODES", 512)
@@ -399,8 +447,8 @@ class TestSweetSpotSolve:
     def test_proxy_degree_is_capped(self, q1, monkeypatch):
         import fluxmod.modulation as modulation
 
-        # no tail is ever exactly zero, so the degree doubles to the cap
-        monkeypatch.setattr(modulation, "_PROXY_TAIL", 0.0)
+        # no tail is below a negative tolerance, so the degree doubles to the cap
+        monkeypatch.setattr(modulation, "_PROXY_TAIL", -1.0)
         with pytest.raises(CutoffTooSmall):
             sweet_spot_solve(q1, 0.0, 1, 0.0, 0.0)
 

@@ -22,14 +22,12 @@ from .calibration import (
     virtual_ramsey,
 )
 from .errors import (
-    AliasingRisk,
     CutoffTooSmall,
     DiagonalizationFailure,
     FitDivergence,
     FlatResponse,
     FluxmodError,
     InfeasibleError,
-    InsufficientWindow,
     NoFeasiblePoint,
     NonMonotoneRegion,
     NonPositiveCoupling,
@@ -75,18 +73,11 @@ from .modulation import (
 )
 from .pulses import (
     BichromaticPulse,
-    EnvelopeSpec,
-    ToneRatio,
     TransferFunction,
-    Waveform,
     apply_transfer_compensation,
     compensate_pulse,
     distort_pulse,
-    effective_theta_after_shift,
-    precompensate_theta,
     scale_tones,
-    synthesize,
-    tone_ratio,
     wrap_angle,
 )
 from .transmon import (

@@ -69,14 +69,6 @@ def require_entry(
     return entry
 
 
-class AliasingRisk(ValidationError):
-    """Sample rate below ten samples per period of the fastest tone."""
-
-
-class InsufficientWindow(ValidationError):
-    """Analysis window shorter than the required number of whole periods."""
-
-
 class OutOfBand(ValidationError):
     """Frequency outside the table backing a transfer function."""
 

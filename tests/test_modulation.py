@@ -231,6 +231,36 @@ class TestQuadratureNodes:
         assert np.max(np.abs(chosen[1] - doubled[1])) < 1e-9
         assert np.max(np.abs(chosen[2] - doubled[2])) < 1e-9
 
+    def test_slope_terms_pick_the_count(self, study_qubits, monkeypatch):
+        # with the f_bar tolerance loose, only the two slope terms of the
+        # bound certify the count; starting at 4 nodes, a small amplitude
+        # reaches counts near p, where the phi_ac term's order N - p decides
+        monkeypatch.setattr(modulation, "_ALIAS_TOL", 1e-3)
+        monkeypatch.setattr(modulation, "_QUAD_NODES", 4)
+        # the cache key leaves out the tolerances
+        modulation._bandwidth_limits.cache_clear()
+        specs = [study_qubits[name] for name in ("q1", "q2", "q3", "q4")]
+        rng = np.random.default_rng(13)
+        try:
+            for spec in specs + [fit_spec(5.5, 1.5, -0.2)]:
+                curve = ladder_curve(spec)
+                for p in range(1, 6):
+                    alpha, theta = rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi)
+                    amps, phi_dc = rng.uniform(0.05, 0.9, 3), rng.uniform(-0.2, 0.2)
+                    small = amps[:1] * 10.0 ** rng.uniform(-6.0, -2.0)
+                    for batch in (amps, small):
+                        nodes = modulation._quadrature_nodes(curve, p, alpha, batch.max())
+                        chosen = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, batch)
+                        with monkeypatch.context() as m:
+                            m.setattr(modulation, "_QUAD_NODES", 2 * nodes)
+                            doubled = avg_frequency_slopes(
+                                curve, phi_dc, p, alpha, theta, batch
+                            )
+                        assert np.max(np.abs(chosen[1] - doubled[1])) < 1e-9, (spec, p, batch)
+                        assert np.max(np.abs(chosen[2] - doubled[2])) < 1e-9, (spec, p, batch)
+        finally:
+            modulation._bandwidth_limits.cache_clear()
+
     def test_non_finite_amplitude_is_rejected(self, q1):
         curve = ladder_curve(q1)
         for bad in (math.nan, math.inf):

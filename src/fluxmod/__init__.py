@@ -65,6 +65,7 @@ from .modulation import (
     avg_frequency_slopes,
     avg_frequency_timedomain,
     dephasing_proxy,
+    first_phase_harmonic,
     operating_point,
     pulse_slopes,
     sideband_weights,

@@ -26,8 +26,8 @@ from .errors import (
     require_number,
 )
 from .modulation import (
-    avg_frequency_harmonics,
     avg_frequency_slopes,
+    first_phase_harmonic,
     pulse_slopes,
     sweet_spot_solve,
 )
@@ -39,7 +39,7 @@ from .pulses import (
     distort_pulse,
     wrap_angle,
 )
-from .transmon import TransmonSpec, fourier_coefficients, ladder_curve
+from .transmon import TransmonSpec, ladder_curve
 
 __all__ = [
     "VirtualHardware",
@@ -168,10 +168,11 @@ def _theta0_from_sweep(
 
     delta = math.atan2(-b1, a1)
     # the sweep only fixes the m=1 phase up to the sign of its amplitude;
-    # the model supplies that sign at the tone amplitudes the qubit sees,
-    # which the line attenuation can move across a zero of the harmonic
+    # the kernel's own first harmonic supplies that sign at the tone
+    # amplitudes the qubit sees, which the line attenuation can move
+    # across a zero of the harmonic
     seen = template if transfer is None else distort_pulse(template, transfer)
-    if avg_frequency_harmonics(fourier_coefficients(hw.spec), seen, 1)[1] < 0.0:
+    if first_phase_harmonic(hw.spec, seen) < 0.0:
         delta += math.pi
     theta0 = wrap_angle(delta) / (1 - template.p)
     half = math.pi / (template.p - 1)

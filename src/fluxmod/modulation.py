@@ -4,11 +4,12 @@ Under flux modulation the qubit precesses at its time-averaged transition
 frequency, and the drive redistributes coupling into sidebands spaced by
 the modulation frequency.  This module computes the average frequency by
 quadrature of each ladder's Chebyshev flux curve (the kernel every solver
-uses), checks it two independent ways (quadrature of the diagonalized
-frequency itself, and a Bessel-function closed form built on the cosine
-series), locates operating points where the average is first-order
-insensitive to both flux knobs, maps such points over the control plane,
-and extracts the complex sideband weights that set parametric gate speed.
+and the calibration use), checks it two independent ways (quadrature of
+the diagonalized frequency itself, and a Bessel-function closed form built
+on the cosine series), locates operating points where the average is
+first-order insensitive to both flux knobs, maps such points over the
+control plane, and extracts the complex sideband weights that set
+parametric gate speed.
 
 Conventions: frequencies in GHz, flux in flux quanta, sensitivities in
 GHz per flux quantum.  A point counts as a dynamical sweet spot when both
@@ -54,6 +55,7 @@ __all__ = [
     "avg_frequency_harmonics",
     "avg_frequency_bessel",
     "avg_frequency_slopes",
+    "first_phase_harmonic",
     "pulse_slopes",
     "operating_point",
     "dephasing_proxy",
@@ -93,20 +95,34 @@ _SPECTRUM_NODES = 256
 _MAX_SPECTRUM_NODES = 1 << 16
 _SPECTRUM_TAIL = 1e-13
 
+# First theta-harmonic of f_bar: fewest and most uniform phases per period,
+# and the largest harmonic (GHz) allowed in the top quarter of the resolved ones
+_PHASE_SAMPLES = 64
+_MAX_PHASE_SAMPLES = 1 << 10
+_PHASE_TAIL = 1e-10
+
+
+def _drive_rows(p: int, alpha: float, thetas: np.ndarray, nodes: int, out: np.ndarray) -> None:
+    """Unit-amplitude two-tone drive on a uniform grid over one period, one
+    row per relative phase of ``thetas``, written into ``out``."""
+    tau = np.arange(nodes) / nodes
+    np.add.outer(thetas, 2.0 * np.pi * p * tau, out=out)
+    np.cos(out, out=out)
+    out *= math.sin(alpha)
+    out += math.cos(alpha) * np.cos(2.0 * np.pi * tau)
+
 
 @lru_cache(maxsize=32)
 def _drive(p: int, alpha: float, theta: float, nodes: int) -> np.ndarray:
-    """Unit-amplitude two-tone drive on a uniform grid over one period.
+    """The drive of _drive_rows at one relative phase.
 
     Cached, since a solve or a plan evaluates one pulse shape many times;
     the array is shared and read-only.
     """
-    tau = np.arange(nodes) / nodes
-    drive = math.cos(alpha) * np.cos(2.0 * np.pi * tau) + math.sin(alpha) * np.cos(
-        2.0 * np.pi * p * tau + theta
-    )
+    drive = np.empty((1, nodes))
+    _drive_rows(p, alpha, np.array([theta]), nodes, drive)
     drive.flags.writeable = False
-    return drive
+    return drive[0]
 
 
 @lru_cache(maxsize=256)
@@ -125,30 +141,31 @@ def _bandwidth_limits(curve: LadderCurve, p: int, fewest: int, most: int) -> np.
     harmonic n by 2 pi n |c_n|; the phi_ac slope also multiplies by the
     drive, whose two tones (|drive| <= sqrt 2) shift orders by up to p, so
     its bound is sqrt 2 times that sum taken at order N - p, and no N <= p
-    is certified.  Each bound increases in b, so the limit of every count
-    at once (f_bar within _ALIAS_TOL, both slopes within
-    _SLOPE_ALIAS_TOL) comes from one vectorized bisection per (curve, p).
+    is certified.  That bound is never below the phi_dc slope's, whose
+    terms decay no slower at the higher order N, so it certifies both
+    slopes.  Each bound increases in b, so the limit of every count at
+    once (f_bar within _ALIAS_TOL, both slopes within _SLOPE_ALIAS_TOL)
+    comes from one vectorized bisection per (curve, p).
     """
     mags = curve.harmonics
     n = np.arange(1, mags.size + 1)
     nodes = fewest << np.arange(max(1, (most // fewest).bit_length()))
     # orders N and N - p, and the bounds' harmonic weights over their
-    # tolerances: f_bar and the phi_dc slope at N, the phi_ac slope at N - p;
-    # an order below 1 certifies nothing and is raised to 1 only to keep
-    # the bisection finite
+    # tolerances: f_bar at N, the phi_ac slope at N - p; an order below 1
+    # certifies nothing and is raised to 1 only to keep the bisection finite
     orders = np.stack([nodes, nodes - p]).astype(float)
     certifiable = orders[1] > 0
     orders = np.maximum(orders, 1.0)[:, :, None]
     squares, exponents = orders * orders, orders / p
-    at_n = np.stack([mags / _ALIAS_TOL, 2.0 * np.pi * n * mags / _SLOPE_ALIAS_TOL], axis=1)
-    at_n_minus_p = math.sqrt(2.0) * at_n[:, 1]
+    at_n = mags / _ALIAS_TOL
+    at_n_minus_p = math.sqrt(2.0) * (2.0 * np.pi * n * mags / _SLOPE_ALIAS_TOL)
 
     def aliased(b: np.ndarray) -> np.ndarray:
         beta = np.minimum(n * b[:, None], orders)
         root = np.sqrt(squares - beta * beta)
         # exp(-g / p), with acosh(k / beta) = log((k + root) / beta)
         decay = np.exp(root / p - exponents * np.log((orders + root) / beta))
-        worst = np.maximum((decay[0] @ at_n).max(axis=1), decay[1] @ at_n_minus_p)
+        worst = np.maximum(decay[0] @ at_n, decay[1] @ at_n_minus_p)
         return 2.0 * worst > 1.0
 
     # 32 halvings leave the limit within nodes / 4e9 below its exact value
@@ -197,15 +214,17 @@ def avg_frequency_slopes(
     phi_dc: float,
     p: int,
     alpha_rad: float,
-    theta_rad: float,
+    theta_rad: float | np.ndarray | Sequence[float],
     amps: np.ndarray | Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Average frequency and its two flux slopes for a batch of ac amplitudes.
 
     Returns (f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc), each with one
     entry per amplitude, in GHz and GHz per flux quantum, for the ladder
-    of ``curve`` (ladder_curve).  Rectangle rule on a uniform grid over one
-    fundamental period, spectrally exact for the periodic integrand; the
+    of ``curve`` (ladder_curve).  ``theta_rad`` is one relative phase for
+    the batch or one per amplitude; the node count does not depend on it.
+    Rectangle rule on a uniform grid over one fundamental period,
+    spectrally exact for the periodic integrand; the
     node count is the fewest power of two from 32 up whose a-priori
     aliasing bound at the batch's largest amplitude holds f_bar within
     1e-11 GHz and both slopes within 1e-9 GHz per flux quantum
@@ -218,22 +237,35 @@ def avg_frequency_slopes(
     differences.
     """
     amps = np.atleast_1d(np.asarray(amps, dtype=float))
+    thetas = np.asarray(theta_rad, dtype=float)
+    per_row = thetas.ndim > 0
+    if per_row and thetas.shape != amps.shape:
+        raise ValidationError("theta_rad must be one phase or one per amplitude")
     nodes = _quadrature_nodes(curve, p, alpha_rad, float(np.max(np.abs(amps), initial=0.0)))
-    drive = _drive(p, alpha_rad, theta_rad, nodes)
+    drive = None if per_row else _drive(p, alpha_rad, float(thetas), nodes)
     rows = max(1, _BLOCK_ELEMENTS // nodes)
     buffers = _block_buffers(min(rows, amps.size) * nodes)
     fbar, dac, ddc = (np.empty(amps.size) for _ in range(3))
     for start in range(0, amps.size, rows):
-        block = amps[start : start + rows]
+        out = slice(start, start + rows)
+        block = amps[out]
         phi, *work = (b[: block.size * nodes].reshape(block.size, nodes) for b in buffers)
-        np.einsum("i,j->ij", block, drive, out=phi)
+        if per_row:
+            _drive_rows(p, alpha_rad, thetas[out], nodes, phi)
+            phi *= block[:, None]
+        else:
+            np.einsum("i,j->ij", block, drive, out=phi)
         phi += phi_dc
         phi *= 2.0 * np.pi
         f, g = curve._phase_sums(phi, work, slope=True)
         # d phi / d phi_ac = 2 pi drive and d phi / d phi_dc = 2 pi
-        out = slice(start, start + block.size)
         f.mean(axis=1, out=fbar[out])
-        np.dot(g, drive, out=dac[out])
+        if per_row:
+            # _phase_sums only reads phi, so its buffer takes the drive again
+            _drive_rows(p, alpha_rad, thetas[out], nodes, phi)
+            np.einsum("ij,ij->i", g, phi, out=dac[out])
+        else:
+            np.dot(g, drive, out=dac[out])
         g.sum(axis=1, out=ddc[out])
     scale = 2.0 * np.pi / nodes
     dac *= scale
@@ -252,7 +284,8 @@ def avg_frequency_timedomain(
     Diagonalizes the Hamiltonian at every time sample and integrates with
     a composite Simpson rule.  This route never touches the Chebyshev
     curve or the cosine series, so it serves as an independent check on
-    both the kernel and the closed form.
+    both the kernel and the closed form.  Only acceptance 01, the tests
+    and perfbench's answer checks use it.
     """
     from scipy.integrate import simpson
 
@@ -277,7 +310,9 @@ def avg_frequency_harmonics(
     form: each cosine harmonic of the frequency curve contributes a
     product of Bessel functions evaluated at the two tone amplitudes.  The
     relative phase theta of ``pulse`` is not used.  No truncation check is
-    made; avg_frequency_bessel makes it.
+    made; avg_frequency_bessel makes it.  Only acceptance 01, the tests and
+    perfbench's answer checks use it; calibration takes the sign of row 1
+    from the kernel (first_phase_harmonic).
     """
     from scipy.special import jv
 
@@ -304,7 +339,8 @@ def avg_frequency_bessel(
 
     Sums the theta-harmonics of avg_frequency_harmonics with weight
     cos(m theta).  The sum is truncated at ``m_max``; if the last retained
-    term still exceeds 1 Hz the truncation is rejected.
+    term still exceeds 1 Hz the truncation is rejected.  Only acceptance
+    01, the tests and perfbench's answer checks use it.
     """
     if m_max < 8:
         raise ValidationError("harmonic cutoff below 8 cannot be trusted")
@@ -316,6 +352,41 @@ def avg_frequency_bessel(
             "raise m_max"
         )
     return float(nu @ np.cos(m * pulse.theta_rad))
+
+
+def first_phase_harmonic(spec: TransmonSpec, pulse: BichromaticPulse) -> float:
+    """First theta-harmonic nu_1 of the f01 average frequency at ``pulse`` (GHz):
+    the coefficient of cos(theta) in f_bar over the relative phase.
+
+    Time reversal maps the drive at theta to the drive at -theta, so f_bar
+    is even in theta and nu_1 is its cos(theta) projection over M uniform
+    phases.  One batched kernel call gives f_bar at the M/2 + 1 of them in
+    [0, pi], mirrored to the full period.  M starts at 64 and doubles, with
+    one more call at the new phases only, while a harmonic in the top
+    quarter of the resolved ones (M/4 <= m <= M/2) exceeds 1e-10 GHz; the
+    orders that alias onto m = 1 (M - 1, M + 1, ...) lie past that quarter.
+    CutoffTooSmall past 1024 phases.  The pulse's own theta is not used.
+    """
+    args = (ladder_curve(spec), pulse.phi_dc_phi0, pulse.p, pulse.alpha_rad)
+
+    def fbar(thetas: np.ndarray) -> np.ndarray:
+        return avg_frequency_slopes(*args, thetas, np.full(thetas.size, pulse.phi_ac_phi0))[0]
+
+    samples = _PHASE_SAMPLES
+    half = fbar(np.arange(samples // 2 + 1) * (2.0 * np.pi / samples))
+    while True:
+        nu = 2.0 * np.fft.rfft(np.concatenate([half, half[-2:0:-1]])).real / samples
+        if np.max(np.abs(nu[samples // 4 :])) <= _PHASE_TAIL:
+            return float(nu[1])
+        if samples >= _MAX_PHASE_SAMPLES:
+            raise CutoffTooSmall(
+                f"theta-harmonics of f_bar need more than {_MAX_PHASE_SAMPLES} phases "
+                f"at p={pulse.p}, amplitude {pulse.phi_ac_phi0:g}"
+            )
+        # the doubled grid's new phases fall midway between the old ones
+        mids = fbar((np.arange(samples // 2) + 0.5) * (2.0 * np.pi / samples))
+        half = np.insert(half, np.arange(1, half.size), mids)
+        samples *= 2
 
 
 def pulse_slopes(

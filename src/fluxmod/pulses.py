@@ -90,22 +90,62 @@ class BichromaticPulse:
         return float(out) if np.isscalar(t_ns) else out
 
 
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """End slope of the monotone cubic: the one-sided three-point estimate,
+    zero where its sign leaves the end secant's and three times that secant
+    where the first two secants differ in sign and it exceeds that (Moler,
+    Numerical Computing with MATLAB, pchiptx)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, intervals), highest power first in x - x_k, of the
+    piecewise cubic Hermite interpolant with Fritsch-Carlson monotone
+    slopes: SIAM J. Numer. Anal. 17, 238 (1980).
+
+    An interior slope is the weighted harmonic mean of its two secants
+    (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 300 (1984)), zero
+    where they differ in sign or one is flat; the ends follow _end_slope.
+    This is scipy's PchipInterpolator, term for term, so a caller's
+    np.errstate sees the same overflows.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    # a zero secant divides by zero here, and its slope is set to zero below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
 @dataclass(frozen=True)
 class TransferFunction:
     """Tabulated amplitude transmission of the flux line vs frequency.
 
-    Evaluation uses monotone cubic interpolation between table points and
-    refuses to extrapolate: frequencies outside the tabulated band raise
-    OutOfBand.  A table whose interpolant overflows (a frequency near
-    1e300 MHz, say) raises ValidationError.
+    Evaluation uses the Fritsch-Carlson monotone cubic (PCHIP) between
+    table points, which adds no extremum between them, and refuses to
+    extrapolate: frequencies outside the tabulated band raise OutOfBand.
+    A table whose interpolant overflows (a frequency near 1e300 MHz, say)
+    raises ValidationError.
     """
 
     freqs_mhz: tuple[float, ...]
     transmission: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.freqs_mhz)
-        t = np.asarray(self.transmission)
+        f = np.asarray(self.freqs_mhz, dtype=float)
+        t = np.asarray(self.transmission, dtype=float)
         if f.size < 4:
             raise ValidationError("transfer function table needs at least 4 points")
         if f.size != t.size:
@@ -117,17 +157,16 @@ class TransferFunction:
             raise ValidationError("frequencies must be strictly increasing")
         if not np.all(t > 0):
             raise ValidationError("transmission values must be positive")
-        from scipy.interpolate import PchipInterpolator
-
         # built once per table; the frozen fields never change under it
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                interpolant = PchipInterpolator(f, t)
+                coeffs = _monotone_cubic(f, t)
         except FloatingPointError as exc:
             raise ValidationError(
                 f"transfer function table at {self.freqs_mhz} MHz cannot be interpolated: {exc}"
             ) from None
-        object.__setattr__(self, "_interpolant", interpolant)
+        object.__setattr__(self, "_knots", f)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @property
     def band_mhz(self) -> tuple[float, float]:
@@ -136,11 +175,16 @@ class TransferFunction:
     def at(self, f_mhz: np.ndarray | float) -> np.ndarray | float:
         f = np.asarray(f_mhz, dtype=float)
         lo, hi = self.band_mhz
-        if np.any(f < lo - 1e-9) or np.any(f > hi + 1e-9):
+        if (f < lo - 1e-9).any() or (f > hi + 1e-9).any():
             raise OutOfBand(
                 f"frequency outside tabulated band [{lo}, {hi}] MHz"
             )
-        out = self._interpolant(np.clip(f, lo, hi))
+        f = np.minimum(np.maximum(f, lo), hi)
+        # interval k holds knots[k] <= f < knots[k + 1]; the top knot closes the last
+        k = np.searchsorted(self._knots[1:-1], f, side="right")
+        s = f - self._knots[k]
+        c = self._coeffs[:, k]
+        out = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
         return float(out) if np.isscalar(f_mhz) else out
 
     def to_csv(self, path: str | Path) -> None:

@@ -83,7 +83,9 @@ class FourierSeries:
 
     ``phi`` is the flux in angular units, 2*pi*(flux / flux quantum).
     Coefficients are stored as a plain tuple so the series is hashable and
-    can key caches.
+    can key caches.  Only acceptance 01, the tests and perfbench's answer
+    checks use it (through fourier_coefficients and the Bessel oracle); no
+    pipeline path evaluates a truncated series.
     """
 
     coefficients: tuple[float, ...]
@@ -470,7 +472,8 @@ def fourier_coefficients(
     by ``n_terms``, a factor of about 7 per harmonic for typical
     asymmetries; for near-symmetric SQUIDs it is not (c_24 is 2.8e-4 GHz
     at EJ2/EJ1 = 0.84).  It feeds the Bessel closed form, an independent
-    check; the averaging kernel evaluates the curve itself.
+    check; the averaging kernel evaluates the curve itself.  Only
+    acceptance 01, the tests and perfbench's answer checks use it.
     """
     if n_terms < 4:
         raise ValidationError("need at least 4 harmonics to represent the curve")

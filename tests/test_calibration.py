@@ -113,6 +113,26 @@ class TestCalibrateTheta0:
             calibrate_theta0(hw, replace(template, phi_ac_phi0=1e-5))
 
 
+    def test_wide_range_offset_on_its_branch(self, template):
+        # a near-symmetric SQUID, where a 24-term cosine series put the sign of
+        # the first theta-harmonic wrong and 23 of these 163 offsets on the
+        # other branch; the kernel's own harmonic puts each on its branch
+        spec = fit_spec(6.0, 0.8, -0.2)
+        rng = np.random.default_rng(3)
+        checked = []
+        for _ in range(200):
+            p = int(rng.choice([3, 5]))
+            alpha, amp = rng.uniform(0.1, 1.4), rng.uniform(0.05, 0.45)
+            hw = VirtualHardware(spec=spec, theta0_rad=0.3 / (p - 1))
+            pulse = replace(template, phi_ac_phi0=amp, alpha_rad=alpha, p=p)
+            try:
+                est = calibrate_theta0(hw, pulse, transfer=hw.transfer)
+            except FlatResponse:
+                continue
+            checked.append(abs(est.theta0_rad - hw.theta0_rad))
+        assert len(checked) >= 150
+        assert max(checked) < 1e-6
+
 class TestCalibrateTransferFunction:
     def test_pointwise_recovery(self, q1):
         hw = VirtualHardware(spec=q1)

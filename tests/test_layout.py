@@ -1,13 +1,13 @@
 """Package layout: no module imports a private helper of a sibling module,
-the solving and planning paths never load scipy, and every name in a
-module's ``__all__`` exists there and, for each module the package imports
-from, is re-exported by the package (``numerics`` is not: its helpers are
-internal).
+the solving, planning and calibration paths never load scipy, and every
+name in a module's ``__all__`` exists there and, for each module the
+package imports from, is re-exported by the package (``numerics`` is not:
+its helpers are internal).
 
-A helper a sibling needs is made public (as ``avg_frequency_harmonics``
-was for calibration), so each module's private names stay free to change.
-scipy serves only the oracles, the calibration fits and the optimizer's
-polish, which import it where they use it.
+A helper a sibling needs is made public (as ``first_phase_harmonic`` is
+for calibration), so each module's private names stay free to change.
+scipy serves only the oracles and the optimizer's polish, which import it
+where they use it.
 """
 
 import ast
@@ -67,13 +67,43 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_atlas_and_plan_load_no_scipy():
+SCIPY_FREE_CALIBRATION = """
+import contextlib
+import io
+import sys
+import fluxmod as fm
+from fluxmod.cli import main
+device = fm.load_device(sys.argv[1])
+hw = fm.VirtualHardware(spec=device.qubits["q1"], theta0_rad=0.25)
+desired = fm.BichromaticPulse(fm_mhz=100.0, phi_ac_phi0=0.45, alpha_rad=0.5, theta_rad=1.1, p=3)
+probes = tuple(float(f) for f in sorted({*range(50, 451, 40), 100, 300}))
+assert abs(fm.calibrate_and_verify(hw, desired, probes).residual_khz) < 1.0
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--spec", sys.argv[1], "--out", sys.argv[2], "calibrate", "--qubit", "q1"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _scipy_modules_loaded(*argv: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_RUN], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", *argv], env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_atlas_and_plan_load_no_scipy():
+    assert _scipy_modules_loaded(SCIPY_FREE_RUN) == "[]"
+
+
+def test_calibration_and_cli_calibrate_load_no_scipy(tmp_path):
+    device = Path(__file__).parent / "golden" / "device.json"
+    out = _scipy_modules_loaded(SCIPY_FREE_CALIBRATION, str(device), str(tmp_path))
+    assert out == "[]"
+    assert (tmp_path / "calibration.json").is_file()
 
 
 def _reexported_modules() -> set[str]:

@@ -17,9 +17,11 @@ from fluxmod import (
     SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0,
     ValidationError,
     avg_frequency_bessel,
+    avg_frequency_harmonics,
     avg_frequency_slopes,
     avg_frequency_timedomain,
     dephasing_proxy,
+    first_phase_harmonic,
     fit_spec,
     fourier_coefficients,
     ladder_curve,
@@ -360,6 +362,66 @@ class TestKernelBlocks:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not mismatches
+
+
+class TestPhasePerRow:
+    # p 1-5 on both ladders; 512 or 4096 nodes; one row, and one row past
+    # a full block
+    @pytest.mark.parametrize("case", range(10))
+    def test_matches_one_scalar_call_per_phase(self, q3, monkeypatch, case):
+        nodes, p = (512, 4096)[case % 2], 1 + case // 2
+        monkeypatch.setattr(modulation, "_QUAD_NODES", nodes)
+        curve = ladder_curve(q3, ("f01", "f12")[case % 2])
+        rng = np.random.default_rng(100 + case)
+        alpha, phi_dc = rng.uniform(0.0, math.pi / 2), rng.uniform(-0.2, 0.2)
+        for count in (1, modulation._BLOCK_ELEMENTS // nodes + 1):
+            amps, thetas = rng.uniform(0.05, 0.9, count), rng.uniform(-math.pi, math.pi, count)
+            assert modulation._quadrature_nodes(curve, p, alpha, amps.max()) == nodes
+            fbar, dac, ddc = avg_frequency_slopes(curve, phi_dc, p, alpha, thetas, amps)
+            ref = [
+                np.concatenate(column) for column in zip(*(
+                    avg_frequency_slopes(curve, phi_dc, p, alpha, float(t), [a])
+                    for t, a in zip(thetas, amps)
+                ))
+            ]
+            assert np.max(np.abs(fbar - ref[0])) <= 1e-14
+            assert np.max(np.abs(dac - ref[1])) <= 1e-12
+            assert np.max(np.abs(ddc - ref[2])) <= 1e-12
+
+    def test_one_phase_per_amplitude(self, q1):
+        with pytest.raises(ValidationError, match="theta_rad"):
+            avg_frequency_slopes(ladder_curve(q1), 0.0, 3, 0.5, [0.1, 0.2], [0.3, 0.4, 0.5])
+
+
+class TestFirstPhaseHarmonic:
+    @pytest.mark.parametrize("name", ["q1", "q3"])
+    def test_matches_the_closed_form_on_study_qubits(self, study_qubits, name):
+        # where the 24-term cosine series has converged, its Bessel row 1 is the same number
+        spec = study_qubits[name]
+        for p, alpha, amp, phi_dc in [(3, 0.5, 0.45, 0.0), (5, 1.1, 0.3, 0.1), (3, 0.9, 0.2, -0.2)]:
+            pulse = BichromaticPulse(
+                fm_mhz=100.0, phi_ac_phi0=amp, alpha_rad=alpha, p=p, phi_dc_phi0=phi_dc
+            )
+            closed = avg_frequency_harmonics(fourier_coefficients(spec), pulse, 1)[1]
+            assert first_phase_harmonic(spec, pulse) == pytest.approx(closed, abs=1e-12)
+
+    def test_matches_a_dense_projection_on_a_wide_range_qubit(self):
+        # a near-symmetric SQUID, where the series' row 1 is off by up to 9e-4 GHz
+        spec = fit_spec(6.0, 0.8, -0.2)
+        curve = ladder_curve(spec)
+        thetas = np.arange(512) * (2.0 * math.pi / 512)
+        for p, alpha, amp in [(3, 0.4, 0.3), (5, 1.2, 0.45), (3, 1.3, 0.1)]:
+            pulse = BichromaticPulse(fm_mhz=100.0, phi_ac_phi0=amp, alpha_rad=alpha, p=p)
+            fbar = avg_frequency_slopes(curve, 0.0, p, alpha, thetas, np.full(512, amp))[0]
+            dense = 2.0 * np.mean(fbar * np.cos(thetas))
+            assert first_phase_harmonic(spec, pulse) == pytest.approx(dense, abs=1e-10)
+
+    def test_phase_count_is_capped(self, monkeypatch):
+        # this pulse's harmonics reach past m = 16, so 64 phases do not settle
+        monkeypatch.setattr(modulation, "_MAX_PHASE_SAMPLES", 64)
+        pulse = BichromaticPulse(fm_mhz=100.0, phi_ac_phi0=0.45, alpha_rad=1.2, p=5)
+        with pytest.raises(CutoffTooSmall, match="phases"):
+            first_phase_harmonic(fit_spec(6.0, 0.8, -0.2), pulse)
 
 
 class TestSensitivities:

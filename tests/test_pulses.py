@@ -144,22 +144,40 @@ class TestTransferFunction:
             TransferFunction(freqs_mhz=freqs, transmission=(1.0, 0.9, 0.8, 0.5))
 
     def test_interpolant_built_once_per_table(self, monkeypatch):
-        import scipy.interpolate
+        import fluxmod.pulses as pulses
 
         built = []
+        build = pulses._monotone_cubic
 
         def counting(*args):
             built.append(args)
-            return PchipInterpolator(*args)
+            return build(*args)
 
-        # TransferFunction imports the interpolant from scipy where it builds it
-        monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", counting)
+        monkeypatch.setattr(pulses, "_monotone_cubic", counting)
         tf = self.make()
         freqs = np.array([12.0, 77.7, 333.0])
         first = tf.at(freqs)
         assert np.array_equal(tf.at(freqs), first)
         assert tf.at(77.7) == first[1]
         assert len(built) == 1
+
+    @pytest.mark.parametrize("shape", ["monotone", "any"])
+    def test_matches_scipy_pchip(self, shape):
+        # the numpy cubic is scipy's PchipInterpolator: same slopes, same
+        # end conditions, agreement to round-off on and between the knots
+        rng = np.random.default_rng(11 if shape == "monotone" else 12)
+        for _ in range(150):
+            size = int(rng.integers(4, 41))
+            f = rng.uniform(1.0, 100.0) + np.cumsum(rng.uniform(0.01, 60.0, size))
+            t = rng.uniform(0.02, 1.5, size)
+            # repeated values give flat secants, where the slopes are set to zero
+            t[rng.integers(0, size, 2)] = t[0]
+            if shape == "monotone":
+                t = np.sort(t)[:: rng.choice([-1, 1])]
+            tf = TransferFunction(freqs_mhz=tuple(f), transmission=tuple(t))
+            x = np.concatenate([f, rng.uniform(f[0], f[-1], 400)])
+            ref = PchipInterpolator(f, t)(x)
+            assert np.max(np.abs(tf.at(x) - ref)) <= 1e-14 * np.max(np.abs(t))
 
 
 class TestCompensation:

@@ -143,7 +143,8 @@ def _resolve_qubit(device: Device, name: str | None) -> str:
     )
 
 
-def _resolve_pair(device: Device, pair_arg: str) -> PairSpec:
+def _resolve_pair(device: Device, pair_arg: str, tls: tuple[float, ...]) -> PairSpec:
+    """The named pair, its TLS lines extended by ``tls`` (GHz)."""
     try:
         mod_name, nb_name = pair_arg.split(":")
     except ValueError:
@@ -153,7 +154,7 @@ def _resolve_pair(device: Device, pair_arg: str) -> PairSpec:
         modulated=device.qubits[mod_name],
         neighbor=device.qubits[nb_name],
         coupling_mhz=entry.coupling_mhz,
-        tls_ghz=entry.tls_ghz,
+        tls_ghz=entry.tls_ghz + tuple(tls),
     )
 
 
@@ -255,7 +256,7 @@ def atlas(run: RunContext, qubit, phi_dc, p, alpha_min, alpha_max, alpha_points,
 
 def _build_plan(run: RunContext, pair_arg, gate, k, p, alpha, theta, phi_dc,
                 root_index, bandwidth_mhz, tls, optimize, grid, max_fm_mhz):
-    pair = _resolve_pair(run.device, pair_arg)
+    pair = _resolve_pair(run.device, pair_arg, tls)
     gate_type = GateType(gate)
     if optimize:
         return pair, optimize_weight(
@@ -265,7 +266,6 @@ def _build_plan(run: RunContext, pair_arg, gate, k, p, alpha, theta, phi_dc,
             grid_shape=(grid, grid),
             max_fm_mhz=max_fm_mhz,
             bandwidth_mhz=bandwidth_mhz,
-            tls_ghz=tuple(tls),
         )
     alpha_rad, theta_rad = alpha * TURN, theta * TURN
     roots = sweet_spot_solve(pair.modulated, phi_dc, p, alpha_rad, theta_rad)
@@ -280,10 +280,7 @@ def _build_plan(run: RunContext, pair_arg, gate, k, p, alpha, theta, phi_dc,
         theta_rad=theta_rad, p=p, phi_dc_phi0=phi_dc,
     )
     point = operating_point(pair.modulated, pulse)
-    plan = plan_gate(
-        pair, point, gate_type, k,
-        bandwidth_mhz=bandwidth_mhz, tls_ghz=tuple(tls),
-    )
+    plan = plan_gate(pair, point, gate_type, k, bandwidth_mhz=bandwidth_mhz)
     return pair, plan
 
 
@@ -303,7 +300,7 @@ _plan_options = [
     click.option("--root-index", type=click.IntRange(min=0), default=0, show_default=True,
                  help="Which stationary amplitude to use, by increasing value."),
     click.option("--bandwidth-mhz", type=float, default=DEFAULT_BANDWIDTH_MHZ,
-                 show_default=True, help="Collision reporting bandwidth."),
+                 show_default=True, help="TLS collision window."),
     click.option("--tls", type=float, multiple=True,
                  help="Extra TLS frequency in GHz (repeatable)."),
     click.option("--optimize", is_flag=True,

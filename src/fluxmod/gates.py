@@ -6,9 +6,9 @@ on a neighbor transition activates an exchange (iSWAP-like, via the 01
 ladder) or a phase gate (CZ-like, via a 02 or 20 avoided crossing).  The
 planner picks the modulation frequency for a requested gate and sideband
 order, scores the effective coupling through the sideband weight, checks
-the rest of the spectrum for frequency collisions, and can search the
-bichromatic control plane for the operating point that maximizes gate
-speed.
+every other sideband for the population it could move into a spectator
+crossing or a TLS, and can search the bichromatic control plane for the
+operating point that maximizes gate speed.
 
 Surface units: couplings and modulation frequencies in MHz, durations in
 ns, transition frequencies in GHz.
@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 DEFAULT_BANDWIDTH_MHZ = 5.0
+
+# the largest population a spectator crossing may move before it is reported;
+# g^2 / (g^2 + (gap/2)^2) exceeds it exactly when |gap| < _LEAKAGE_WINDOW * g
+_LEAKAGE_BUDGET = 1e-2
+_LEAKAGE_WINDOW = 2.0 * math.sqrt(1.0 / _LEAKAGE_BUDGET - 1.0)
 
 # the modulated qubit's ladders, in the order the collision scan indexes them
 _LADDERS = ("f01", "f12")
@@ -172,11 +177,12 @@ def resonance_fm(
     return fm
 
 
-def _check_scan(k_window: int, weight_floor: float = 0.0) -> None:
-    """Reject a negative or non-integer resonance window, which would scan
-    nothing, and a negative or non-finite weight floor (NaN drops nothing)."""
-    if not isinstance(k_window, (int, np.integer)) or k_window < 0:
-        raise ValidationError(f"k_window must be an integer >= 0, got {k_window!r}")
+def _check_scan(bandwidth_mhz: float, weight_floor: float) -> None:
+    """Reject a non-finite or nonpositive TLS window, and a negative or
+    non-finite weight floor (NaN drops nothing)."""
+    require_finite(bandwidth_mhz=bandwidth_mhz)
+    if bandwidth_mhz <= 0.0:
+        raise ValidationError("bandwidth must be positive")
     if not 0.0 <= weight_floor < math.inf:
         raise ValidationError(f"weight_floor must be finite and >= 0, got {weight_floor!r}")
 
@@ -194,7 +200,8 @@ def enumerate_resonances(
     optional cap drops resonances beyond the drive band, which can
     legitimately empty the map.
     """
-    _check_scan(k_window)
+    if not isinstance(k_window, (int, np.integer)) or k_window < 0:
+        raise ValidationError(f"k_window must be an integer >= 0, got {k_window!r}")
     if max_fm_mhz is not None:
         require_finite(max_fm_mhz=max_fm_mhz)
     cap = math.inf if max_fm_mhz is None else max_fm_mhz
@@ -211,15 +218,16 @@ def enumerate_resonances(
 
 @dataclass(frozen=True, slots=True)
 class CollisionReport:
-    """One spectral feature too close to the planned drive.
+    """One sideband of the planned drive that reaches a spectator line.
 
-    ``kind`` is "sideband" (a spectator sideband lands on a neighbor
-    transition or TLS), "gate_resonance" (the drive frequency also
-    activates another gate), or "tls" (a sideband lands on a listed
-    defect).  ``freq_mhz`` is the offending feature's frequency: absolute
-    for sideband/tls kinds, a modulation frequency for gate_resonance.
-    ``ladder`` and ``target`` name the sideband's ladder and the line it
-    lands on (sideband/tls kinds only).  The text ``description`` is built
+    Sideband ``k`` of the modulated qubit's ``ladder`` sits at ``freq_mhz``
+    (absolute), ``gap_mhz`` above the ``target`` line.  ``kind`` is
+    "gate_resonance" on a neighbor line, where the sideband meets the
+    crossing of ``gate_type`` (f01 on f01_n: iSWAP, f12 on f01_n: CZ02,
+    f01 on f12_n: CZ20), and "tls" on a listed defect.  ``transfer`` is
+    the most population the crossing can move, g_n^2 / (g_n^2 +
+    (gap/2)^2); it is NaN for a TLS, whose coupling is unknown, and
+    to_dict writes that NaN as null.  The text ``description`` is built
     from these fields when read, so a kept report holds no string of its
     own.
     """
@@ -227,22 +235,21 @@ class CollisionReport:
     kind: str
     gap_mhz: float
     freq_mhz: float
+    k: int
+    ladder: str
+    target: str
+    transfer: float = math.nan
     gate_type: str | None = None
-    k: int | None = None
-    ladder: str | None = None
-    target: str | None = None
 
     @property
     def description(self) -> str:
-        if self.kind == "gate_resonance":
-            return (
-                f"drive also sits {abs(self.gap_mhz):.3f} MHz from the "
-                f"{self.gate_type} k={self.k:+d} resonance"
-            )
-        return (
-            f"{self.ladder} ladder sideband {self.k:+d} within "
-            f"{abs(self.gap_mhz):.3f} MHz of {self.target}"
+        text = (
+            f"{self.ladder} ladder sideband k={self.k:+d} sits "
+            f"{abs(self.gap_mhz):.3f} MHz from {self.target}"
         )
+        if self.kind == "tls":
+            return text
+        return f"{text} ({self.gate_type} k={self.k:+d} crossing), transfer={self.transfer:.3g}"
 
     def to_dict(self) -> dict:
         return {
@@ -251,6 +258,9 @@ class CollisionReport:
             "freq_mhz": self.freq_mhz,
             "gate_type": self.gate_type,
             "k": self.k,
+            "ladder": self.ladder,
+            "target": self.target,
+            "transfer": None if math.isnan(self.transfer) else self.transfer,
             "description": self.description,
         }
 
@@ -332,12 +342,10 @@ def check_collisions(
     pair: PairSpec,
     spectra: dict[str, SidebandSpectrum],
     *,
-    tls_ghz: tuple[float, ...] = (),
     bandwidth_mhz: float = DEFAULT_BANDWIDTH_MHZ,
-    k_window: int = 10,
     weight_floor: float = 1e-3,
 ) -> list[CollisionReport]:
-    """Scan the planned drive for spectral neighbors within a bandwidth.
+    """Scan the planned drive's sidebands for spectator crossings and TLS lines.
 
     ``spectra`` maps each modulated-qubit ladder ("f01", "f12") to its
     sideband spectrum at the planned pulse, as sideband_weights returns it
@@ -345,24 +353,24 @@ def check_collisions(
     below 1e-13.  A spectrum on another channel or at another modulation
     frequency is rejected, and so is one whose left-out power (Parseval:
     1 - sum |w|^2) could hold an order of weight ``weight_floor`` or more.
-    Orders whose weight magnitude is at least ``weight_floor`` are checked
-    in one array pass per family.  First, every such sideband of both
-    ladders is compared against the neighbor transitions and any listed
-    TLS frequencies.  Second, every such order 0 < |n| <= ``k_window`` is
-    a gate resonance of each gate type its ladder carries, at the drive
-    fm_n that parks sideband n on that gate's target (computed from the
-    ladder averages f_bar that the two spectra carry); it collides when
-    |fm_n - fm| < bandwidth, since a shared drive frequency activates both
-    processes at once.  Reports are deduplicated per offender, keeping the
-    smallest gap, and sorted by gap.
+
+    Every order n with |w_n| >= ``weight_floor`` of both ladders is checked
+    in one array pass, at detuning gap = f_bar + n fm - line, against the
+    neighbor lines it can exchange with and the pair's TLS lines.  Order n
+    of a ladder meets each neighbor line as the crossing of the gate type
+    that pairs them (f01 on f01_n: iSWAP; f12 on f01_n: CZ02; f01 on f12_n:
+    CZ20), an off-resonant Rabi problem with coupling g_n =
+    effective_coupling(pair, w_n, gate type).  It is reported when the
+    most population it can move, g_n^2 / (g_n^2 + (gap/2)^2), exceeds
+    _LEAKAGE_BUDGET; the gate's own order on its own crossing is the
+    drive and is skipped.  f12 on f12_n (|21>-|12>) is not scanned: the
+    exchange keeps the excitation number, so no gate reaches that
+    three-excitation crossing from the computational states.  A TLS has
+    no known coupling, so a sideband within ``bandwidth_mhz`` of it is
+    reported.  Crossings come first, largest transfer first, then TLS
+    lines by gap.
     """
-    _check_scan(k_window, weight_floor)
-    require_finite(
-        bandwidth_mhz=bandwidth_mhz,
-        **{f"tls_ghz[{i}]": f for i, f in enumerate(tls_ghz)},
-    )
-    if bandwidth_mhz <= 0.0:
-        raise ValidationError("bandwidth must be positive")
+    _check_scan(bandwidth_mhz, weight_floor)
     for ch in _LADDERS:
         spec = spectra.get(ch)
         # Parseval: no order a spectrum leaves out weighs more than sqrt(1 - power)
@@ -374,52 +382,50 @@ def check_collisions(
                 f"spectra[{ch!r}] must be the {ch} spectrum at the planned {plan.fm_mhz:.6g} "
                 f"MHz drive, leaving out no order of weight >= weight_floor={weight_floor:g}"
             )
-    tls_all = tuple(pair.tls_ghz) + tuple(tls_ghz)
-    labels = ["f01_n", "f12_n"] + [f"tls@{f:.4f}GHz" for f in tls_all]
-    targets = np.array([*_neighbor_freqs(pair), *tls_all])
-
-    # one row per populated order of either ladder: ladder index, order, f_bar
-    picked = [np.flatnonzero(np.abs(spectra[ch].weight_array) >= weight_floor) for ch in _LADDERS]
+    # one row per populated order of either ladder: ladder index, order,
+    # weight magnitude and sideband frequency
+    mags = [np.abs(spectra[ch].weight_array) for ch in _LADDERS]
+    picked = [np.flatnonzero(m >= weight_floor) for m in mags]
     counts = [i.size for i in picked]
     ladder = np.repeat((0, 1), counts)
     order = np.concatenate([i + spectra[ch].ks[0] for i, ch in zip(picked, _LADDERS)])
+    weight = np.concatenate([m[i] for m, i in zip(mags, picked)])
     fbar = np.repeat([spectra[ch].f_bar_ghz for ch in _LADDERS], counts)
-    found: list[tuple[tuple, CollisionReport]] = []
-
-    # sidebands against the neighbor lines (columns 0, 1) and the TLS; the
-    # gate's own sideband on its own target is the drive, not a collision
-    gate_types = tuple(GateType)
-    g_own = gate_types.index(plan.gate_type)
-    own = (_GATE_LADDER[g_own], plan.k, _GATE_TARGET[g_own])
     f_ghz = fbar + order * (plan.fm_mhz * 1e-3)
-    gaps = (f_ghz[:, None] - targets) * 1e3
-    for i, t in zip(*np.nonzero(np.abs(gaps) < bandwidth_mhz)):
-        if (ladder[i], order[i], t) == own:
-            continue
-        ch, j, gap = _LADDERS[ladder[i]], int(order[i]), float(gaps[i, t])
-        kind = "sideband" if t < 2 else "tls"
-        report = CollisionReport(kind, gap, float(f_ghz[i] * 1e3), None, j, ch, labels[t])
-        found.append(((kind, ch, j, labels[t]), report))
 
-    # gate resonances: column g holds gate type g's resonance on the rows of
-    # its ladder, at the drive that parks that order on its target
-    rows = (order != 0) & (np.abs(order) <= k_window)
-    ladder, order = ladder[rows, None], order[rows, None]
-    fm_alt = resonance_fm_mhz(targets[_GATE_TARGET], fbar[rows, None], order)
-    gaps = fm_alt - plan.fm_mhz
-    hits = (ladder == _GATE_LADDER) & (np.abs(gaps) < bandwidth_mhz)
-    for i, g in zip(*np.nonzero(hits)):
-        gt, kk, gap = gate_types[g], int(order[i, 0]), float(gaps[i, g])
-        if g == g_own and kk == plan.k:
-            continue
-        report = CollisionReport("gate_resonance", gap, float(fm_alt[i, g]), gt.value, kk)
-        found.append((("gate_resonance", gt.value, kk), report))
+    def report(
+        kind: str, i: int, gap: float, target: str, transfer: float = math.nan,
+        gate: str | None = None,
+    ) -> CollisionReport:
+        return CollisionReport(
+            kind, float(gap), float(f_ghz[i] * 1e3), int(order[i]), _LADDERS[ladder[i]],
+            target, float(transfer), gate,
+        )
 
-    # the smallest gap per offender, in order of gap
-    best: dict[tuple, CollisionReport] = {}
-    for key, report in sorted(found, key=lambda kr: abs(kr[1].gap_mhz)):
-        best.setdefault(key, report)
-    return list(best.values())
+    # column g: gate type g's crossing, met only by the rows of its ladder
+    gate_types = tuple(GateType)
+    delta = (f_ghz[:, None] - np.array(_neighbor_freqs(pair))[_GATE_TARGET]) * 1e3
+    g_n = weight[:, None] * [effective_coupling(pair, 1.0, gt) for gt in gate_types]
+    hits = (np.abs(delta) < _LEAKAGE_WINDOW * g_n) & (ladder[:, None] == _GATE_LADDER)
+    rows, cols = np.nonzero(hits)
+    # 1 / (1 + r^2) with r^2 < 1 / _LEAKAGE_BUDGET: no overflow for any coupling
+    transfer = 1.0 / (1.0 + np.square(delta[rows, cols] / (2.0 * g_n[rows, cols])))
+    found = []
+    for j in np.argsort(-transfer, kind="stable"):
+        i, g = rows[j], cols[j]
+        gt = gate_types[g]
+        # the gate's own order on its own crossing is the drive
+        if gt is not plan.gate_type or order[i] != plan.k:
+            found.append(report(
+                "gate_resonance", i, delta[i, g], f"{gt.neighbor_channel}_n", transfer[j], gt.value
+            ))
+    if pair.tls_ghz:
+        gaps = (f_ghz[:, None] - np.array(pair.tls_ghz)) * 1e3
+        rows, cols = np.nonzero(np.abs(gaps) < bandwidth_mhz)
+        for j in np.argsort(np.abs(gaps[rows, cols]), kind="stable"):
+            i, t = rows[j], cols[j]
+            found.append(report("tls", i, gaps[i, t], f"tls@{pair.tls_ghz[t]:.4f}GHz"))
+    return found
 
 
 def plan_gate(
@@ -429,9 +435,7 @@ def plan_gate(
     k: int,
     *,
     bandwidth_mhz: float = DEFAULT_BANDWIDTH_MHZ,
-    k_window: int = 10,
     weight_floor: float = 1e-3,
-    tls_ghz: tuple[float, ...] = (),
 ) -> GatePlan:
     """Resolve a gate request at a fixed operating point into a full plan.
 
@@ -439,7 +443,8 @@ def plan_gate(
     spectrum of each ladder once at that frequency (weights depend on the
     ratio of frequency excursion to modulation rate), reads the gate
     weight off its own ladder's spectrum, and attaches the collision scan
-    of both spectra.
+    of both spectra against the neighbor lines and the pair's TLS lines
+    (check_collisions; ``bandwidth_mhz`` is its TLS window).
     """
     fm = resonance_fm(pair, point, gate_type, k)
     pulse = replace(point.pulse, fm_mhz=fm)
@@ -450,13 +455,7 @@ def plan_gate(
         gate_type=gate_type, k=k, pulse=pulse, f_bar_ghz=point.f_bar_ghz, g_eff_mhz=g_eff
     )
     collisions = check_collisions(
-        plan,
-        pair,
-        spectra,
-        tls_ghz=tls_ghz,
-        bandwidth_mhz=bandwidth_mhz,
-        k_window=k_window,
-        weight_floor=weight_floor,
+        plan, pair, spectra, bandwidth_mhz=bandwidth_mhz, weight_floor=weight_floor
     )
     return replace(plan, collisions=tuple(collisions))
 
@@ -541,29 +540,25 @@ def optimize_weight(
     window: tuple[float, float] = (0.05, 0.9),
     max_fm_mhz: float = 400.0,
     bandwidth_mhz: float = DEFAULT_BANDWIDTH_MHZ,
-    k_window: int = 10,
     weight_floor: float = 1e-3,
-    tls_ghz: tuple[float, ...] = (),
     refine: bool = True,
 ) -> GatePlan:
     """Search the control plane for the fastest collision-free gate.
 
     Solves every (alpha, theta) grid node of the pair's modulated qubit in
     one sweet_spot_atlas call, computes the requested sideband weight at
-    the resonance of each stationary amplitude, and keeps the
-    collision-free candidate with the largest weight magnitude.  Ties
-    break toward the lowest alpha, then theta (strict improvement
-    required, ascending scan order).  A Nelder-Mead polish then refines
-    the winning node, each step a one-node atlas; the polished point is
-    kept only if it stays feasible.  Raises NoFeasiblePoint when no node
-    survives the frequency cap and collision constraints.
+    the resonance of each stationary amplitude, and keeps the candidate
+    with the largest weight magnitude whose plan reports no collision
+    (check_collisions on the pair's neighbor and TLS lines, with the given
+    TLS window and weight floor).  Ties break toward the lowest alpha,
+    then theta (strict improvement required, ascending scan order).  A
+    Nelder-Mead polish then refines the winning node, each step a one-node
+    atlas; the polished point is kept only if it stays feasible.  Raises
+    NoFeasiblePoint when no node survives the frequency cap and collision
+    constraints.
     """
-    require_finite(
-        max_fm_mhz=max_fm_mhz,
-        bandwidth_mhz=bandwidth_mhz,
-        **{f"tls_ghz[{i}]": f for i, f in enumerate(tls_ghz)},
-    )
-    _check_scan(k_window, weight_floor)
+    require_finite(max_fm_mhz=max_fm_mhz)
+    _check_scan(bandwidth_mhz, weight_floor)
     n_alpha, n_theta = grid_shape
     if n_alpha < 4 or n_theta < 4:
         raise ValidationError("grid must be at least 4x4")
@@ -591,14 +586,7 @@ def optimize_weight(
 
     def feasible_plan(pt: OperatingPoint) -> GatePlan | None:
         plan = plan_gate(
-            pair,
-            pt,
-            gate_type,
-            k,
-            bandwidth_mhz=bandwidth_mhz,
-            k_window=k_window,
-            weight_floor=weight_floor,
-            tls_ghz=tls_ghz,
+            pair, pt, gate_type, k, bandwidth_mhz=bandwidth_mhz, weight_floor=weight_floor
         )
         return plan if not plan.collisions else None
 

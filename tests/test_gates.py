@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fluxmod.gates as gates
 from fluxmod import (
     BichromaticPulse,
     GateType,
+    InfeasibleError,
     NoFeasiblePoint,
     NonPositiveCoupling,
     PairSpec,
@@ -189,16 +192,48 @@ class TestCollisions:
             c for c in plan.collisions
             if c.kind == "gate_resonance" and c.gate_type == "iswap" and c.k == -4
         ]
-        assert len(hits) == 1
-        assert abs(hits[0].gap_mhz) < 5.0
+        assert [c.kind for c in plan.collisions] == ["gate_resonance"]
+        (hit,) = hits
+        # f01 sideband -4 sits 7.717 MHz below f01_n, with g_n = 0.630 MHz
+        assert hit.gap_mhz == pytest.approx(-7.717, abs=1e-3)
+        assert hit.transfer == pytest.approx(0.0259, abs=2e-4)
+        assert (hit.ladder, hit.target) == ("f01", "f01_n")
 
     def test_bichro_plan_is_clean(self, pair12, bichro_point):
         plan = plan_gate(pair12, bichro_point, GateType.CZ02, -2)
         assert plan.collisions == ()
 
-    def test_narrow_bandwidth_hides_the_coincidence(self, pair12, mono_point):
-        plan = plan_gate(pair12, mono_point, GateType.CZ02, -2, bandwidth_mhz=1.0)
-        assert plan.collisions == ()
+    def test_bandwidth_no_longer_changes_neighbor_line_reports(self, pair12, mono_point):
+        # the bandwidth is the TLS window only; neighbor lines are judged by transfer
+        plans = [
+            plan_gate(pair12, mono_point, GateType.CZ02, -2, bandwidth_mhz=bw)
+            for bw in (1.0, gates.DEFAULT_BANDWIDTH_MHZ, 50.0)
+        ]
+        assert plans[0].collisions
+        assert plans[1].collisions == plans[0].collisions == plans[2].collisions
+
+    @pytest.mark.parametrize("theta_turn", [0.25, -0.25])
+    def test_spectator_crossing_beyond_the_drive_window_is_reported(
+        self, q1, pair12, theta_turn
+    ):
+        # iSWAP k=-4 at alpha = 1/44 turn: the f12 sideband -2 sits 11.63 MHz
+        # from f01_n with g_n = 3.69 MHz, so the CZ02 crossing moves 0.287 of
+        # the population although its resonance lies 5.8 MHz away in drive
+        alpha = np.linspace(0.0, math.pi / 2.0, 12)[1]
+        theta = theta_turn * 2.0 * math.pi
+        (amp, _), = sweet_spot_solve(q1, 0.0, 3, alpha, theta)
+        assert amp == pytest.approx(0.603173, abs=1e-6)
+        pulse = BichromaticPulse(
+            fm_mhz=100.0, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta, p=3
+        )
+        plan = plan_gate(pair12, operating_point(q1, pulse), GateType.ISWAP, -4)
+        assert plan.fm_mhz == pytest.approx(109.545, abs=1e-3)
+        (hit,) = plan.collisions
+        assert (hit.kind, hit.gate_type, hit.k) == ("gate_resonance", "cz02", -2)
+        assert (hit.ladder, hit.target) == ("f12", "f01_n")
+        assert hit.gap_mhz == pytest.approx(11.63, abs=1e-2)
+        assert hit.transfer == pytest.approx(0.287, abs=1e-3)
+        assert "cz02 k=-2" in hit.description
 
     def test_tls_hit(self, q1, q2, mono_point):
         # park a defect exactly on the f12-ladder j=-6 sideband
@@ -223,64 +258,42 @@ class TestCollisions:
         assert abs(tls_hits[0].gap_mhz) < 1e-6
 
     def test_reports_sorted_and_deduped(self, q1, q2, mono_point):
-        pair = PairSpec(modulated=q1, neighbor=q2, coupling_mhz=4.0)
-        plan = plan_gate(pair, mono_point, GateType.CZ02, -2, bandwidth_mhz=20.0)
-        gaps = [abs(c.gap_mhz) for c in plan.collisions]
-        assert gaps == sorted(gaps)
-        keys = [(c.kind, c.gate_type, c.k, c.description) for c in plan.collisions]
+        # iSWAP k=-10 meets two CZ02 crossings; two defects sit 4 MHz and
+        # 1 MHz from the f01 sidebands -4 and -6 (odd orders vanish at p=1)
+        plan0 = plan_gate(
+            PairSpec(modulated=q1, neighbor=q2, coupling_mhz=4.0),
+            mono_point, GateType.ISWAP, -10,
+        )
+        f01, fm = plan0.f_bar_ghz, plan0.fm_mhz * 1e-3
+        tls = (f01 - 4 * fm + 4e-3, f01 - 6 * fm - 1e-3)
+        pair = PairSpec(modulated=q1, neighbor=q2, coupling_mhz=4.0, tls_ghz=tls)
+        plan = plan_gate(pair, mono_point, GateType.ISWAP, -10)
+        assert [c.kind for c in plan.collisions] == 2 * ["gate_resonance"] + 2 * ["tls"]
+        transfers = [c.transfer for c in plan.collisions[:2]]
+        assert transfers == sorted(transfers, reverse=True)
+        assert transfers[-1] > gates._LEAKAGE_BUDGET
+        assert [(c.ladder, c.k) for c in plan.collisions[2:]] == [("f01", -6), ("f01", -4)]
+        assert [abs(c.gap_mhz) for c in plan.collisions[2:]] == pytest.approx([1.0, 4.0])
+        assert all(math.isnan(c.transfer) for c in plan.collisions[2:])
+        keys = [(c.ladder, c.k, c.target) for c in plan.collisions]
         assert len(keys) == len(set(keys))
 
     @pytest.mark.parametrize("gate, k", [(GateType.CZ02, -2), (GateType.ISWAP, -4)])
     def test_gate_resonances_match_enumeration(self, pair12, mono_point, gate, k):
+        # a gate-kind row k sits gap from its line, so the drive that parks it
+        # there is fm - gap / k, the resonance enumerate_resonances lists
         plan = plan_gate(pair12, mono_point, gate, k)
         expected = enumerate_resonances(pair12, mono_point)
         hits = [c for c in plan.collisions if c.kind == "gate_resonance"]
         assert hits
         for c in hits:
-            assert c.freq_mhz == pytest.approx(
+            assert plan.fm_mhz - c.gap_mhz / c.k == pytest.approx(
                 expected[(GateType(c.gate_type), c.k)], abs=1e-8
             )
 
-    @pytest.mark.parametrize(
-        "gate, k, k_window, resonances, sideband",
-        [
-            (GateType.CZ02, -2, 5, [("iswap", -4)], None),
-            # the window hides the CZ02 k=-2 resonance, but not the f12
-            # sideband -2, 3.9 MHz from f01_n
-            (GateType.ISWAP, -4, 1, [], "f12 ladder sideband -2"),
-        ],
-        ids=["k_inside_window", "k_beyond_window"],
-    )
-    def test_k_window_limits_only_gate_resonances(
-        self, pair12, mono_point, gate, k, k_window, resonances, sideband
-    ):
-        plan = plan_gate(pair12, mono_point, gate, k, k_window=k_window)
-        hits = [c for c in plan.collisions if c.kind == "gate_resonance"]
-        assert [(c.gate_type, c.k) for c in hits] == resonances
-        sidebands = [c for c in plan.collisions if c.kind == "sideband"]
-        if sideband is None:
-            assert sidebands == []
-        else:
-            (hit,) = sidebands
-            assert hit.description.startswith(f"{sideband} within")
-            assert hit.description.endswith("of f01_n")
-            assert hit.gap_mhz == pytest.approx(3.858, abs=1e-3)
-
-    def test_wide_k_window_checks_its_outer_resonances(self, pair12, mono_point):
-        # the CZ02 k=-6 drive sits 0.64 MHz from the iSWAP k=-12 resonance
-        plan = plan_gate(pair12, mono_point, GateType.CZ02, -6, k_window=12)
-        hits = [
-            c for c in plan.collisions
-            if c.kind == "gate_resonance" and c.gate_type == "iswap" and c.k == -12
-        ]
-        assert len(hits) == 1
-        assert abs(hits[0].gap_mhz) < 1.0
-        default = plan_gate(pair12, mono_point, GateType.CZ02, -6)
-        assert all(abs(c.k) <= 10 for c in default.collisions)
-
     def test_example_node_reports_its_outer_collisions(self, q1, pair12):
-        # alpha = 1/44 turn, theta = -1/6 turn: a sideband scan cut at
-        # |k| <= 10 calls this CZ02 k=-8 plan clean
+        # alpha = 1/44 turn, theta = -1/6 turn: a scan cut at |k| <= 10
+        # would call this CZ02 k=-8 plan clean
         alpha, theta = 2 * math.pi / 44, -2 * math.pi / 6
         (amp, _), = sweet_spot_solve(q1, 0.0, 3, alpha, theta)
         assert amp == pytest.approx(0.5781, abs=1e-4)
@@ -290,14 +303,53 @@ class TestCollisions:
         point = operating_point(q1, pulse)
         plan = plan_gate(pair12, point, GateType.CZ02, -8)
         assert plan.fm_mhz == pytest.approx(34.452, abs=1e-3)
-        (sideband,) = plan.collisions
-        assert sideband.description.startswith("f01 ladder sideband -14 within")
-        assert sideband.gap_mhz == pytest.approx(0.541, abs=1e-3)
-        # the iSWAP k=-14 resonance lies beyond the default gate-resonance window
-        wide = plan_gate(pair12, point, GateType.CZ02, -8, k_window=14)
-        found = {(c.kind, c.gate_type, c.k): c.gap_mhz for c in wide.collisions}
-        assert found[("gate_resonance", "iswap", -14)] == pytest.approx(0.039, abs=1e-3)
-        assert found[("sideband", None, -14)] == sideband.gap_mhz
+        (hit,) = plan.collisions
+        assert (hit.kind, hit.gate_type, hit.k) == ("gate_resonance", "iswap", -14)
+        assert (hit.ladder, hit.target) == ("f01", "f01_n")
+        assert hit.description.startswith("f01 ladder sideband k=-14 sits 0.541 MHz")
+        assert hit.gap_mhz == pytest.approx(0.541, abs=1e-3)
+        assert hit.transfer == pytest.approx(0.660, abs=1e-3)
+
+    @settings(max_examples=30)
+    @given(
+        alpha=st.floats(0.0, math.pi / 2.0),
+        theta=st.floats(-math.pi, math.pi),
+        gate=st.sampled_from(GateType),
+        k=st.integers(-10, -1),
+    )
+    def test_reports_every_crossing_over_budget_once(self, q1, pair12, alpha, theta, gate, k):
+        # brute force over the spectra's rows, with the matrix-element factor
+        # of each gate's (ladder, neighbor line) crossing written out; f12 on
+        # f12_n is a three-excitation crossing that no gate reaches
+        try:
+            amp, _ = sweet_spot_solve(q1, 0.0, 3, alpha, theta)[0]
+            pulse = BichromaticPulse(
+                fm_mhz=100.0, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta, p=3
+            )
+            plan = plan_gate(pair12, operating_point(q1, pulse), gate, k)
+        except InfeasibleError:
+            assume(False)
+        factor = {
+            ("f01", "f01_n"): 1.0, ("f12", "f01_n"): math.sqrt(2.0),
+            ("f01", "f12_n"): math.sqrt(2.0),
+        }
+        lines = dict(zip(("f01_n", "f12_n"), transition_frequencies(pair12.neighbor, 0.0)))
+        own = (gate.ladder_channel, k, gate.neighbor_channel + "_n")
+        over = {}
+        for ch, spectrum in plan_spectra(pair12, plan).items():
+            for n, w in zip(spectrum.ks, spectrum.weights):
+                for line, f_line in lines.items():
+                    if abs(w) < 1e-3 or (ch, n, line) == own or (ch, line) not in factor:
+                        continue
+                    g = factor[(ch, line)] * pair12.coupling_mhz * abs(w)
+                    delta = (spectrum.frequency_ghz(n) - float(f_line)) * 1e3
+                    transfer = g * g / (g * g + delta * delta / 4.0)
+                    if transfer > 1e-2:
+                        over[(ch, n, line)] = transfer
+        reported = [(c.ladder, c.k, c.target) for c in plan.collisions]
+        assert sorted(reported) == sorted(over)
+        for c in plan.collisions:
+            assert c.transfer == pytest.approx(over[(c.ladder, c.k, c.target)], rel=1e-9)
 
     def test_bandwidth_validation(self, pair12, mono_point):
         plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
@@ -312,17 +364,14 @@ class TestCollisions:
             ), "weight_floor"),
             (lambda pair, pt: plan_gate(pair, pt, GateType.CZ02, -2, weight_floor=-1.0),
              "weight_floor"),
-            (lambda pair, pt: plan_gate(pair, pt, GateType.CZ02, -2, k_window=-1), "k_window"),
-            (lambda pair, pt: plan_gate(pair, pt, GateType.ISWAP, -1, k_window=2.5),
-             "k_window"),
             (lambda pair, pt: enumerate_resonances(pair, pt, k_window=-1), "k_window"),
             (lambda pair, pt: optimize_weight(
                 pair, 3, -2, grid_shape=(4, 4), weight_floor=math.nan, refine=False
             ), "weight_floor"),
         ],
         ids=[
-            "plan-nan-floor", "plan-negative-floor", "plan-negative-window",
-            "plan-fractional-window", "enumerate-negative-window", "optimize-nan-floor",
+            "plan-nan-floor", "plan-negative-floor", "enumerate-negative-window",
+            "optimize-nan-floor",
         ],
     )
     def test_scan_window_is_checked(self, pair12, mono_point, call, name):

@@ -90,7 +90,7 @@ FIELD_UNITS = {
     "duration_ns": "ns",
     "alpha_rad": "rad", "theta_rad": "rad", "theta0_rad": "rad",
     "theta0_ambiguity_rad": "rad", "theta0": "rad", "mod": "rad",
-    "transmission": "1", "population": "1",
+    "transmission": "1", "population": "1", "transfer": "1",
     "sweet_flag": "count", "sweet_points": "count", "k": "count", "p": "count",
     "seed": "count",
     # stdout numbers followed by their unit

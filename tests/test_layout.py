@@ -1,8 +1,9 @@
 """Package layout: no module imports a private helper of a sibling module,
-the solving, planning and calibration paths never load scipy, and every
-name in a module's ``__all__`` exists there and, for each module the
-package imports from, is re-exported by the package (``numerics`` is not:
-its helpers are internal).
+the solving, planning and calibration paths never load scipy, every name
+in a module's ``__all__`` exists there and, for each module the package
+imports from, is re-exported by the package (``numerics`` is not: its
+helpers are internal), and the planners take no order window or second
+TLS list.
 
 A helper a sibling needs is made public (as ``first_phase_harmonic`` is
 for calibration), so each module's private names stay free to change.
@@ -133,3 +134,15 @@ def test_every_public_name_exists_and_is_reexported():
             ]
     assert not missing, missing
     assert not unexported, unexported
+
+
+def test_planner_signatures_hold_one_collision_rule():
+    # TLS lines come only from PairSpec.tls_ghz, and the collision scan reads
+    # every order, so no planner takes a second TLS list or an order window
+    import inspect
+
+    from fluxmod import gates
+
+    for fn in (gates.check_collisions, gates.plan_gate, gates.optimize_weight):
+        stale = {"k_window", "tls_ghz"} & set(inspect.signature(fn).parameters)
+        assert not stale, f"{fn.__name__} takes {sorted(stale)}"

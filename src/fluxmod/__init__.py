@@ -55,6 +55,7 @@ from .gates import (
     resonance_fm_mhz,
 )
 from .modulation import (
+    SIDEBAND_TAIL,
     SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0,
     AtlasResult,
     NoiseModel,

@@ -101,22 +101,54 @@ class RamseyResult:
     programmed: BichromaticPulse
 
 
+def _measure(hw: VirtualHardware, pulses: list[BichromaticPulse]) -> np.ndarray:
+    """f_bar (GHz) of each programmed pulse as virtual_ramsey measures it.
+
+    Each pulse draws its offset (with ``randomize_theta0``) and then its
+    noise from the hardware's generator, in order, as repeated
+    virtual_ramsey calls would.  The delivered pulses are then averaged
+    with one kernel call per (p, alpha, phi_dc) they share, one phase per
+    amplitude: a phase sweep is one call, bit-identical to a call per
+    pulse, and a probe set is one call at the node count of its largest
+    amplitude, which holds each f_bar within the kernel's 1e-11 GHz.
+    """
+    sigma = hw.noise_sigma_khz * 1e-6
+    delivered, noise = [], np.zeros(len(pulses))
+    for i, pulse in enumerate(pulses):
+        theta0 = hw.theta0_rad
+        if hw.randomize_theta0:
+            theta0 = float(hw._rng.uniform(-math.pi, math.pi))
+        delivered.append(distort_pulse(pulse, hw.transfer, theta0_rad=theta0))
+        if sigma > 0.0:
+            noise[i] = hw._rng.normal(0.0, sigma)
+    groups: dict[tuple[int, float, float], list[int]] = {}
+    for i, d in enumerate(delivered):
+        groups.setdefault((d.p, d.alpha_rad, d.phi_dc_phi0), []).append(i)
+    curve = ladder_curve(hw.spec)
+    fbar = np.empty(len(pulses))
+    for (p, alpha, phi_dc), rows in groups.items():
+        fbar[rows] = avg_frequency_slopes(
+            curve, phi_dc, p, alpha,
+            [delivered[i].theta_rad for i in rows], [delivered[i].phi_ac_phi0 for i in rows],
+        )[0]
+    if sigma > 0.0:
+        fbar += noise
+    return fbar
+
+
 def virtual_ramsey(hw: VirtualHardware, pulse: BichromaticPulse) -> RamseyResult:
     """Measure the averaged frequency under the simulated distortions.
 
     The programmed pulse is distorted by the hidden transfer function and
     phase offset, the ideal averaged frequency of the distorted pulse is
-    evaluated, and seeded Gaussian noise is added.
+    evaluated, and seeded Gaussian noise is added.  This is the batch of
+    one of the calibration sweeps' measurement, so a sweep and the same
+    pulses measured one by one draw the same offsets and noise.
     """
-    theta0 = hw.theta0_rad
-    if hw.randomize_theta0:
-        theta0 = float(hw._rng.uniform(-math.pi, math.pi))
-    delivered = distort_pulse(pulse, hw.transfer, theta0_rad=theta0)
-    fbar = pulse_slopes(hw.spec, delivered)[0]
-    if hw.noise_sigma_khz > 0.0:
-        fbar += float(hw._rng.normal(0.0, hw.noise_sigma_khz * 1e-6))
     return RamseyResult(
-        f_bar_ghz=fbar, uncertainty_khz=hw.noise_sigma_khz, programmed=pulse
+        f_bar_ghz=float(_measure(hw, [pulse])[0]),
+        uncertainty_khz=hw.noise_sigma_khz,
+        programmed=pulse,
     )
 
 
@@ -142,12 +174,7 @@ def _theta0_from_sweep(
     transfer: TransferFunction | None,
 ) -> tuple[float, float]:
     thetas = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
-    measured = np.array(
-        [
-            virtual_ramsey(hw, replace(template, theta_rad=float(th))).f_bar_ghz
-            for th in thetas
-        ]
-    )
+    measured = _measure(hw, [replace(template, theta_rad=float(th)) for th in thetas])
     span = float(measured.max() - measured.min())
     floor = 5.0 * max(hw.noise_sigma_khz * 1e-6, 1e-6)
     if span < floor:
@@ -268,11 +295,9 @@ def calibrate_transfer_function(
         )
 
     top, bot = avg_frequency_slopes(curve, 0.0, 1, 0.0, 0.0, [0.0, bound])[0]
-    measured = np.array([
-        virtual_ramsey(
-            hw, BichromaticPulse(fm_mhz=f, phi_ac_phi0=probe_amp_phi0, alpha_rad=0.0,
-                                 theta_rad=0.0, p=1),
-        ).f_bar_ghz
+    measured = _measure(hw, [
+        BichromaticPulse(fm_mhz=f, phi_ac_phi0=probe_amp_phi0, alpha_rad=0.0,
+                         theta_rad=0.0, p=1)
         for f in freqs
     ])
     outside = (measured > top + 1e-12) | (measured < bot - 1e-12)

@@ -99,6 +99,11 @@ class RunContext:
             self._device = load_device(self.spec_path)
         return self._device
 
+    def close(self) -> None:
+        """Drop the fitted device when the command ends: a caller that keeps
+        a command's result can keep this object through its traceback."""
+        self._device = None
+
     def config_hash(self, command: str, params: dict) -> str:
         payload = {"command": command, "seed": self.seed, "params": params}
         if self.spec_path is not None:
@@ -176,6 +181,7 @@ def main(ctx, spec_path, out, seed, jobs):
     run = RunContext(spec_path, out, seed, jobs)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     ctx.obj = run
+    ctx.call_on_close(run.close)
 
 
 @main.command()

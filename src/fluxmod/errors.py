@@ -88,7 +88,8 @@ class NoRoot(InfeasibleError):
 
 
 class WrongSideband(InfeasibleError):
-    """Requested sideband order cannot reach the target from this point."""
+    """Requested sideband order cannot reach the target from this point:
+    no positive drive parks it there, or its weight vanishes."""
 
 
 class NoFeasiblePoint(InfeasibleError):

@@ -34,6 +34,7 @@ from .errors import (
     require_finite,
 )
 from .modulation import (
+    SIDEBAND_TAIL,
     OperatingPoint,
     SidebandSpectrum,
     pulse_slopes,
@@ -444,12 +445,22 @@ def plan_gate(
     ratio of frequency excursion to modulation rate), reads the gate
     weight off its own ladder's spectrum, and attaches the collision scan
     of both spectra against the neighbor lines and the pair's TLS lines
-    (check_collisions; ``bandwidth_mhz`` is its TLS window).
+    (check_collisions; ``bandwidth_mhz`` is its TLS window).  An order
+    whose weight is at or below the spectrum's certified tail,
+    SIDEBAND_TAIL, carries no resolved coupling (odd orders of a
+    single-tone drive at a sweet spot cancel, for one) and raises
+    WrongSideband.
     """
     fm = resonance_fm(pair, point, gate_type, k)
     pulse = replace(point.pulse, fm_mhz=fm)
     spectra = {ch: sideband_weights(pair.modulated, pulse, channel=ch) for ch in _LADDERS}
-    g_eff = effective_coupling(pair, spectra[gate_type.ladder_channel].weight(k), gate_type)
+    weight = spectra[gate_type.ladder_channel].weight(k)
+    if abs(weight) <= SIDEBAND_TAIL:
+        raise WrongSideband(
+            f"sideband k={k} weighs {abs(weight):.1e}, within the spectrum's certified "
+            f"{SIDEBAND_TAIL:g} tail: it carries no {gate_type.value} coupling from this point"
+        )
+    g_eff = effective_coupling(pair, weight, gate_type)
     gate_duration(gate_type, g_eff)  # ValidationError unless g_eff is positive
     plan = GatePlan(
         gate_type=gate_type, k=k, pulse=pulse, f_bar_ghz=point.f_bar_ghz, g_eff_mhz=g_eff
@@ -550,12 +561,13 @@ def optimize_weight(
     the resonance of each stationary amplitude, and keeps the candidate
     with the largest weight magnitude whose plan reports no collision
     (check_collisions on the pair's neighbor and TLS lines, with the given
-    TLS window and weight floor).  Ties break toward the lowest alpha,
-    then theta (strict improvement required, ascending scan order).  A
-    Nelder-Mead polish then refines the winning node, each step a one-node
-    atlas; the polished point is kept only if it stays feasible.  Raises
-    NoFeasiblePoint when no node survives the frequency cap and collision
-    constraints.
+    TLS window and weight floor); a node whose order vanishes, which
+    plan_gate refuses, is skipped like a colliding one.  Ties break toward
+    the lowest alpha, then theta (strict improvement required, ascending
+    scan order).  A Nelder-Mead polish then refines the winning node, each
+    step a one-node atlas; the polished point is kept only if it stays
+    feasible.  Raises NoFeasiblePoint when no node survives the frequency
+    cap and collision constraints.
     """
     require_finite(max_fm_mhz=max_fm_mhz)
     _check_scan(bandwidth_mhz, weight_floor)
@@ -585,9 +597,13 @@ def optimize_weight(
         return best
 
     def feasible_plan(pt: OperatingPoint) -> GatePlan | None:
-        plan = plan_gate(
-            pair, pt, gate_type, k, bandwidth_mhz=bandwidth_mhz, weight_floor=weight_floor
-        )
+        """The point's plan, or None where it collides or its order vanishes."""
+        try:
+            plan = plan_gate(
+                pair, pt, gate_type, k, bandwidth_mhz=bandwidth_mhz, weight_floor=weight_floor
+            )
+        except WrongSideband:
+            return None
         return plan if not plan.collisions else None
 
     best_plan: GatePlan | None = None
@@ -611,7 +627,7 @@ def optimize_weight(
     if best_plan is None:
         raise NoFeasiblePoint(
             "no collision-free operating point reaches the requested sideband "
-            "under the frequency cap"
+            "with a resolved weight under the frequency cap"
         )
 
     if refine:

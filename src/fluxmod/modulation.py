@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -47,6 +46,7 @@ from .transmon import (
 
 __all__ = [
     "SWEET_SPOT_THRESHOLD_GHZ_PER_PHI0",
+    "SIDEBAND_TAIL",
     "OperatingPoint",
     "NoiseModel",
     "AtlasResult",
@@ -90,10 +90,11 @@ _PROXY_TAIL = 1e-7
 _NEWTON_MAX_STEPS = 100
 
 # Sideband spectra: fewest and most nodes per period, and the largest weight
-# allowed in the top quarter of the resolved orders
+# allowed in the top quarter of the resolved orders; a weight at or below it
+# is not told apart from the aliased tail, and plan_gate refuses its order
 _SPECTRUM_NODES = 256
 _MAX_SPECTRUM_NODES = 1 << 16
-_SPECTRUM_TAIL = 1e-13
+SIDEBAND_TAIL = 1e-13
 
 # First theta-harmonic of f_bar: fewest and most uniform phases per period,
 # and the largest harmonic (GHz) allowed in the top quarter of the resolved ones
@@ -669,8 +670,9 @@ def sweet_spot_atlas(
     frequency, which does not affect the average frequency or the
     sensitivities.  With ``jobs > 1`` the alpha rows are distributed over
     min(jobs, alpha rows, CPU count) worker processes, and solved in this
-    process when that is one; output ordering is independent of the job
-    count.
+    process when that is one.  The process pool is imported only when one
+    starts, so no other path loads multiprocessing.  Output ordering is
+    independent of the job count.
     """
     alphas = [float(a) for a in alpha_grid]
     thetas = [float(t) for t in theta_grid]
@@ -687,6 +689,10 @@ def sweet_spot_atlas(
     # the pool starts all its workers at the first submit
     workers = min(jobs, len(alphas), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool and multiprocessing cost a fresh process
+        # about 13 ms and 2 MB, and only this branch uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [(curve, phi_dc, p, [a], thetas, window, xtol) for a in alphas]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_alpha = list(pool.map(_atlas_chunk, chunks))
@@ -807,7 +813,7 @@ def sideband_weights(
     while nodes <= _MAX_SPECTRUM_NODES:
         phase, fbar = _periodic_phase(*shape, nodes)
         eps = np.fft.fft(np.exp((2j * np.pi / pulse.fm_ghz) * phase)) / nodes
-        if np.max(np.abs(eps[nodes // 4 : nodes - nodes // 4 + 1])) <= _SPECTRUM_TAIL:
+        if np.max(np.abs(eps[nodes // 4 : nodes - nodes // 4 + 1])) <= SIDEBAND_TAIL:
             break
         nodes *= 2
     else:

@@ -76,6 +76,59 @@ class TestVirtualRamsey:
             VirtualHardware(spec=q1, noise_sigma_khz=-1.0)
 
 
+class TestBatchedMeasurement:
+    """Calibration measures a sweep or a probe set with one kernel call."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        import fluxmod.calibration as calibration
+
+        kernel, sizes = calibration.avg_frequency_slopes, []
+
+        def counting(*args, **kwargs):
+            sizes.append(np.size(args[-1]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "avg_frequency_slopes", counting)
+        return sizes
+
+    @pytest.mark.parametrize("randomize", [False, True])
+    def test_phase_sweep_is_the_per_pulse_loop_bit_for_bit(
+        self, q1, template, kernel_calls, randomize
+    ):
+        from fluxmod.calibration import _measure
+
+        def hardware():
+            return VirtualHardware(
+                spec=q1, theta0_rad=0.3, transfer=reference_transfer_function(),
+                noise_sigma_khz=3.0, seed=17, randomize_theta0=randomize,
+            )
+
+        sweep = [
+            replace(template, theta_rad=float(t))
+            for t in np.linspace(-math.pi, math.pi, 32, endpoint=False)
+        ]
+        batch = _measure(hardware(), sweep)
+        assert kernel_calls == [32]
+        one_by_one = hardware()
+        assert batch.tolist() == [virtual_ramsey(one_by_one, p).f_bar_ghz for p in sweep]
+
+    def test_probe_set_agrees_with_one_call_per_probe(self, q1, kernel_calls):
+        from fluxmod.calibration import _measure
+
+        hw = VirtualHardware(spec=q1, transfer=reference_transfer_function())
+        probes = [
+            BichromaticPulse(fm_mhz=float(f), phi_ac_phi0=0.3, p=1)
+            for f in np.linspace(15.0, 480.0, 14)
+        ]
+        batch = _measure(hw, probes)
+        assert kernel_calls == [14]
+        # the batch runs at its largest amplitude's node count, each probe alone
+        # at its own; both hold f_bar within the kernel's 1e-11 GHz
+        one_by_one = np.array([virtual_ramsey(hw, p).f_bar_ghz for p in probes])
+        assert np.max(np.abs(batch - one_by_one)) < 1e-11
+
+
 class TestCalibrateTheta0:
     @pytest.mark.parametrize("theta0", [0.25, -0.4, 1.3])
     def test_noiseless_recovery(self, q1, template, theta0):
@@ -157,12 +210,13 @@ class TestCalibrateTransferFunction:
             batches.append(np.size(args[-1]))
             return kernel(*args, **kwargs)
 
-        # only the inversion's own kernel calls go through this binding
+        # only calibration's own kernel calls go through this binding
         monkeypatch.setattr(calibration, "avg_frequency_slopes", counting)
         est = calibrate_transfer_function(hw, probes)
         for f, t in zip(est.freqs_mhz, est.transmission):
             assert abs(t - float(table.at(f))) <= 1e-12
-        # the band edges, then one batch of all 14 levels per Newton step
+        # the band edges, the 14 probes measured in one batch, then one
+        # batch of all 14 levels per Newton step
         assert batches[0] == 2 and set(batches[1:]) == {14}
         assert len(batches) <= 10
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from fluxmod import load_device
 from fluxmod.cli import main
 
 from conftest import Q1_DATA, Q2_DATA
@@ -61,6 +62,29 @@ class TestSweep:
         assert manifest["outputs"] == ["sweep_q1.csv"]
         assert len(manifest["config_hash"]) == 12
         assert "f01(0)=5.2499" in res.output
+
+    def test_kept_result_does_not_keep_the_fitted_device(
+        self, runner, device_file, tmp_path, monkeypatch
+    ):
+        # a kept result holds the command's context through its traceback
+        import gc
+        import weakref
+
+        import fluxmod.cli
+
+        fitted = []
+
+        def loading(path):
+            device = load_device(path)
+            fitted.append(weakref.ref(device))
+            return device
+
+        monkeypatch.setattr(fluxmod.cli, "load_device", loading)
+        res = _invoke(runner, device_file, tmp_path, "sweep", "--qubit", "q1",
+                      "--points", "5")
+        assert res.exit_code == 0 and len(fitted) == 1
+        gc.collect()
+        assert fitted[0]() is None
 
     def test_unknown_qubit_exits_2(self, runner, device_file, tmp_path):
         res = _invoke(runner, device_file, tmp_path, "sweep", "--qubit", "zz")
@@ -158,6 +182,13 @@ class TestPlan:
                       "--k=-2", "--optimize", "--grid", "4",
                       "--max-fm-mhz", "10")
         assert res.exit_code == 3
+
+    def test_vanishing_order_exits_3(self, runner, device_file, tmp_path):
+        # the single-tone sweet spot's odd orders cancel
+        res = _invoke(runner, device_file, tmp_path, "plan", "--pair", "q1:q2",
+                      "--gate", "cz02", "--k=-3", "--p", "1")
+        assert res.exit_code == 3
+        assert "certified 1e-13 tail" in res.stderr
 
     def test_bad_root_index_exits_2(self, runner, device_file, tmp_path):
         res = _invoke(runner, device_file, tmp_path, "plan", "--pair", "q1:q2",

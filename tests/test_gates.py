@@ -428,6 +428,15 @@ class TestGatePlan:
         assert data["k"] == -2
         assert data["collisions"][0]["gate_type"] == "iswap"
 
+    @pytest.mark.parametrize("gate", list(GateType))
+    def test_vanishing_order_is_refused(self, pair12, mono_point, gate):
+        # a single tone at the sweet spot: f_bar is even in the drive, so the
+        # odd orders cancel and weigh ~1e-17, inside the spectrum's 1e-13 tail
+        for k in (-1, -3, -5):
+            with pytest.raises(WrongSideband, match="certified 1e-13 tail"):
+                plan_gate(pair12, mono_point, gate, k)
+        assert plan_gate(pair12, mono_point, gate, -2).g_eff_mhz > 0.1
+
     def test_weight_recomputed_at_resonance(self, q1, pair12, mono_point):
         plan = plan_gate(pair12, mono_point, GateType.CZ02, -2)
         spec = sideband_weights(
@@ -505,6 +514,14 @@ class TestOptimizeWeight:
         with pytest.raises(NoFeasiblePoint):
             optimize_weight(
                 pair12, 3, -2, grid_shape=(4, 4), max_fm_mhz=10.0, refine=False
+            )
+
+    def test_vanishing_order_is_skipped(self, q1, pair12):
+        # odd p at zero dc bias drives only odd harmonics of an even curve, so
+        # every node's odd orders cancel and no node can carry k = -3
+        with pytest.raises(NoFeasiblePoint):
+            optimize_weight(
+                pair12, 3, -3, gate_type=GateType.CZ02, grid_shape=(4, 4), refine=False
             )
 
     def test_grid_validation(self, q1, pair12):

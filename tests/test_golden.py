@@ -277,3 +277,25 @@ def test_comparer_is_exact_on_text_and_counts():
     assert not _compare_line("x", "fm=1.000 MHz", "fm=1.001 MHz", True)
     assert _compare_line("x", "fm=1.000 MHz", "fm=1.002 MHz", True)
     assert np.isclose(_last_place("0.6011"), 1e-4)
+
+
+def test_regenerate_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
+    import importlib.util
+    import sys
+
+    # the script puts tests/ and src/ on sys.path when loaded; undo that after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = GOLDEN / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("regenerate", path)
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    monkeypatch.setattr(regenerate, "GOLDEN", tmp_path)
+    monkeypatch.setattr(regenerate, "run_case", lambda argv, out: " ".join(argv))
+
+    assert regenerate.main(["sweep", "no_such_case"]) == 2
+    assert "no_such_case" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert regenerate.main(["calibrate", "sweep"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["calibrate", "sweep"]
+    assert regenerate.main([]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(c[0] for c in CASES)

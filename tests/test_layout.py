@@ -1,5 +1,6 @@
 """Package layout: no module imports a private helper of a sibling module,
-the solving, planning and calibration paths never load scipy, every name
+the solving, planning and calibration paths never load scipy, importing
+the package loads no process-pool machinery, every name
 in a module's ``__all__`` exists there and, for each module the package
 imports from, is re-exported by the package (``numerics`` is not: its
 helpers are internal), and the planners take no order window or second
@@ -8,7 +9,7 @@ TLS list.
 A helper a sibling needs is made public (as ``first_phase_harmonic`` is
 for calibration), so each module's private names stay free to change.
 scipy serves only the oracles and the optimizer's polish, which import it
-where they use it.
+where they use it; the same holds for the process pool of a parallel atlas.
 """
 
 import ast
@@ -88,7 +89,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def _scipy_modules_loaded(*argv: str) -> str:
+def _modules_loaded(*argv: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", *argv], env=env, capture_output=True, text=True, check=True,
@@ -97,14 +98,25 @@ def _scipy_modules_loaded(*argv: str) -> str:
 
 
 def test_atlas_and_plan_load_no_scipy():
-    assert _scipy_modules_loaded(SCIPY_FREE_RUN) == "[]"
+    assert _modules_loaded(SCIPY_FREE_RUN) == "[]"
 
 
 def test_calibration_and_cli_calibrate_load_no_scipy(tmp_path):
     device = Path(__file__).parent / "golden" / "device.json"
-    out = _scipy_modules_loaded(SCIPY_FREE_CALIBRATION, str(device), str(tmp_path))
+    out = _modules_loaded(SCIPY_FREE_CALIBRATION, str(device), str(tmp_path))
     assert out == "[]"
     assert (tmp_path / "calibration.json").is_file()
+
+
+def test_import_starts_no_process_machinery():
+    # only sweet_spot_atlas with jobs > 1 starts a pool, and it imports the
+    # pool's module there
+    loaded = _modules_loaded(
+        "import sys, fluxmod, fluxmod.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"
+    )
+    assert loaded == "[]"
 
 
 def _reexported_modules() -> set[str]:

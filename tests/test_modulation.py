@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 from dataclasses import replace
@@ -651,7 +652,8 @@ class TestAtlas:
             def map(self, fn, chunks):
                 return map(fn, chunks)
 
-        monkeypatch.setattr(modulation, "ProcessPoolExecutor", Pool)
+        # sweet_spot_atlas imports the pool class where it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         alphas, thetas = [0.1, 0.6, 1.2], [-2.0, 2.0]
         atlas = sweet_spot_atlas(q1, 0.0, 3, alphas, thetas, jobs=jobs)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluxmod import (
@@ -237,6 +237,45 @@ def test_frequency_curve_export(q1, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "flux_phi0,f01_ghz,f12_ghz"
     assert len(lines) == 12
+
+
+class TestFrequencyCurve:
+    """The sweep table is the ladder curves evaluated on the flux grid."""
+
+    @staticmethod
+    def _off_diagonalization(spec, lo, hi):
+        curve = frequency_curve(spec, lo, hi, 41)
+        f01, f12 = transition_frequencies(spec, curve.flux_phi0)
+        return max(np.max(np.abs(curve.f01_ghz - f01)), np.max(np.abs(curve.f12_ghz - f12)))
+
+    @settings(max_examples=40)
+    @given(
+        f01_max=st.floats(3.0, 7.0),
+        tunability=st.floats(0.01, 2.0 / 3.0),
+        anharm=st.floats(-0.25, -0.15),
+        lo=st.floats(-1.0, 0.0),
+        hi=st.floats(0.0, 1.0),
+    )
+    def test_ladder_curves_match_diagonalization_over_the_fit_domain(
+        self, f01_max, tunability, anharm, lo, hi
+    ):
+        spec = fit_spec(f01_max, f01_max * (1.0 - tunability), anharm)
+        assert self._off_diagonalization(spec, lo, hi) < 1e-12
+
+    @settings(max_examples=40)
+    @given(
+        ej1=st.floats(8.0, 60.0),
+        ratio=st.floats(0.01, 1.0),
+        ec=st.floats(0.15, 0.3),
+        lo=st.floats(-1.0, 0.0),
+        hi=st.floats(0.0, 1.0),
+    )
+    @example(ej1=20.0, ratio=1.0, ec=0.2, lo=-0.5, hi=0.5)
+    def test_ladder_curves_match_diagonalization_up_to_a_symmetric_squid(
+        self, ej1, ratio, ec, lo, hi
+    ):
+        spec = TransmonSpec(ej1_ghz=ej1, ej2_ghz=ej1 * ratio, ec_ghz=ec)
+        assert self._off_diagonalization(spec, lo, hi) < 1e-12
 
 
 class TestLoadDevice:

@@ -18,8 +18,11 @@ with the side the previous workload ended with, so slow drift of a shared
 machine falls on both sides alike.  For every workload and end-to-end
 metric of ``BENCHMARK.json`` the output holds both sides' medians and
 quartiles, how many pairs the change won (by the metric's ``better``
-direction), the pair count and the seeds.  With ``--trace-seed`` one traced
-run per side and workload adds the per-layer totals.
+direction), the pair count and the seeds.  Each run's ``attempted`` request
+count is kept per side too, and its median is printed beside
+``peak_rss_mb``: perfbench keeps every answer until a run ends, so a tree
+that serves more requests reads a higher peak RSS.  With ``--trace-seed``
+one traced run per side and workload adds the per-layer totals.
 
 Only the standard library and numpy are used.
 """
@@ -112,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         for wl in workloads:
             values = {m: {"base": [], "change": []} for m in metrics}
             failed = {"base": [], "change": []}
+            attempted = {"base": [], "change": []}
             for seed in seeds:
                 order = (first, "change" if first == "base" else "base")
                 for side in order:
@@ -119,12 +123,14 @@ def main(argv: list[str] | None = None) -> int:
                     for m in metrics:
                         values[m][side].append(report["metrics"][m]["value"])
                     failed[side].append(report["failed"] / max(report["attempted"], 1))
+                    attempted[side].append(report["attempted"])
                     print(f"{wl} seed={seed} {side:<6} " + " ".join(
                         f"{m}={report['metrics'][m]['value']:.4g}" for m in metrics),
                         flush=True)
                 first = order[1]
             entry = {m: summarize(v, metrics[m]) for m, v in values.items()}
             entry["failed_frac"] = failed
+            entry["attempted"] = attempted
             if args.trace_seed is not None:
                 entry["traced"] = {"seed": args.trace_seed, **{
                     side: {name: m["value"] for name, m in bench(
@@ -136,9 +142,13 @@ def main(argv: list[str] | None = None) -> int:
     for wl, entry in result["workloads"].items():
         for m in metrics:
             s = entry[m]
+            served = ""
+            if m == "peak_rss_mb":
+                served = " attempted base {:g} change {:g}".format(
+                    *(np.median(entry["attempted"][side]) for side in ("base", "change")))
             print(f"{wl:<8} {m:<16} base {s['base']['median']:<10.4g} change "
                   f"{s['change']['median']:<10.4g} wins {s['change_wins']}/{s['pairs']} "
-                  f"base IQR {s['base_iqr']:.3g}")
+                  f"base IQR {s['base_iqr']:.3g}{served}")
     return 0
 
 

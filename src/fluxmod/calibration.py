@@ -108,9 +108,9 @@ def _measure(hw: VirtualHardware, pulses: list[BichromaticPulse]) -> np.ndarray:
     noise from the hardware's generator, in order, as repeated
     virtual_ramsey calls would.  The delivered pulses are then averaged
     with one kernel call per (p, alpha, phi_dc) they share, one phase per
-    amplitude: a phase sweep is one call, bit-identical to a call per
-    pulse, and a probe set is one call at the node count of its largest
-    amplitude, which holds each f_bar within the kernel's 1e-11 GHz.
+    amplitude.  Each pulse is summed at its own amplitude's node count, so
+    a phase sweep and a probe set are each one call, bit-identical in
+    f_bar to a call per pulse.
     """
     sigma = hw.noise_sigma_khz * 1e-6
     delivered, noise = [], np.zeros(len(pulses))

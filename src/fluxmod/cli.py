@@ -272,6 +272,7 @@ def _build_plan(run: RunContext, pair_arg, gate, k, p, alpha, theta, phi_dc,
             grid_shape=(grid, grid),
             max_fm_mhz=max_fm_mhz,
             bandwidth_mhz=bandwidth_mhz,
+            jobs=run.jobs,
         )
     alpha_rad, theta_rad = alpha * TURN, theta * TURN
     roots = sweet_spot_solve(pair.modulated, phi_dc, p, alpha_rad, theta_rad)

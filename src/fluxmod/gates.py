@@ -553,6 +553,7 @@ def optimize_weight(
     bandwidth_mhz: float = DEFAULT_BANDWIDTH_MHZ,
     weight_floor: float = 1e-3,
     refine: bool = True,
+    jobs: int = 1,
 ) -> GatePlan:
     """Search the control plane for the fastest collision-free gate.
 
@@ -566,8 +567,10 @@ def optimize_weight(
     the lowest alpha, then theta (strict improvement required, ascending
     scan order).  A Nelder-Mead polish then refines the winning node, each
     step a one-node atlas; the polished point is kept only if it stays
-    feasible.  Raises NoFeasiblePoint when no node survives the frequency
-    cap and collision constraints.
+    feasible.  ``jobs`` is the worker count of the grid atlas
+    (sweet_spot_atlas); the one-node polish atlases stay in this process.
+    Raises NoFeasiblePoint when no node survives the frequency cap and
+    collision constraints.
     """
     require_finite(max_fm_mhz=max_fm_mhz)
     _check_scan(bandwidth_mhz, weight_floor)
@@ -609,7 +612,7 @@ def optimize_weight(
     best_plan: GatePlan | None = None
     best_weight = 0.0
     best_node = None
-    grid = sweet_spot_atlas(pair.modulated, phi_dc, p, alphas, thetas, window=window)
+    grid = sweet_spot_atlas(pair.modulated, phi_dc, p, alphas, thetas, jobs=jobs, window=window)
     by_node = itertools.groupby(
         grid.points, key=lambda pt: (pt.pulse.alpha_rad, pt.pulse.theta_rad)
     )

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import bracketed_newton, interpolate, lobatto_points
+from .numerics import bracketed_newton, lobatto_coefficients, lobatto_points
 from .errors import (
     CutoffTooSmall,
     NoRoot,
@@ -126,6 +126,22 @@ def _drive(p: int, alpha: float, theta: float, nodes: int) -> np.ndarray:
     return drive[0]
 
 
+def _fill_drives(
+    out: np.ndarray, p: int, alpha: float, phases: np.ndarray, pick: np.ndarray | None,
+    buffer: np.ndarray,
+) -> None:
+    """Write the drive of _drive_rows into each row of ``out``: at phases[i]
+    in row i when ``pick`` is None, else at phases[pick[i]], taken from a
+    table of one row per phase built in ``buffer``."""
+    nodes = out.shape[1]
+    if pick is None:
+        _drive_rows(p, alpha, phases, nodes, out)
+        return
+    table = buffer[: phases.size * nodes].reshape(phases.size, nodes)
+    _drive_rows(p, alpha, phases, nodes, table)
+    np.take(table, pick, axis=0, out=out)
+
+
 @lru_cache(maxsize=256)
 def _bandwidth_limits(curve: LadderCurve, p: int, fewest: int, most: int) -> np.ndarray:
     """Largest Carson bandwidth per harmonic that each node count
@@ -150,7 +166,7 @@ def _bandwidth_limits(curve: LadderCurve, p: int, fewest: int, most: int) -> np.
     """
     mags = curve.harmonics
     n = np.arange(1, mags.size + 1)
-    nodes = fewest << np.arange(max(1, (most // fewest).bit_length()))
+    nodes = fewest << np.arange(max(1, int(most // fewest).bit_length()))
     # orders N and N - p, and the bounds' harmonic weights over their
     # tolerances: f_bar at N, the phi_ac slope at N - p; an order below 1
     # certifies nothing and is raised to 1 only to keep the bisection finite
@@ -178,23 +194,29 @@ def _bandwidth_limits(curve: LadderCurve, p: int, fewest: int, most: int) -> np.
     return np.where(certifiable, lo, -1.0)
 
 
-def _quadrature_nodes(curve: LadderCurve, p: int, alpha: float, amp_max: float) -> int:
-    """Nodes per period for the average: the fewest power-of-two multiple
-    of _QUAD_NODES whose aliasing bound (_bandwidth_limits) at the largest
-    amplitude holds f_bar within 1e-11 GHz and both slopes within 1e-9 GHz
-    per flux quantum; CutoffTooSmall past _MAX_QUAD_NODES."""
+def _quadrature_nodes(
+    curve: LadderCurve, p: int, alpha: float, amps: np.ndarray | float
+) -> np.ndarray:
+    """Nodes per period for the average at each amplitude: the fewest
+    power-of-two multiple of _QUAD_NODES whose aliasing bound
+    (_bandwidth_limits) at that amplitude holds f_bar within 1e-11 GHz and
+    both slopes within 1e-9 GHz per flux quantum; CutoffTooSmall past
+    _MAX_QUAD_NODES."""
     if p < 1:
         raise ValidationError("tone multiplier p must be an integer >= 1")
-    require_finite(amplitude=amp_max)
-    bandwidth = 2.0 * np.pi * amp_max * (abs(math.cos(alpha)) + p * abs(math.sin(alpha)))
+    amps = np.abs(np.asarray(amps, dtype=float))
+    top = float(amps.max(initial=0.0))
+    require_finite(amplitude=top)
+    spread = abs(math.cos(alpha)) + p * abs(math.sin(alpha))
     limits = _bandwidth_limits(curve, p, _QUAD_NODES, _MAX_QUAD_NODES)
-    level = int(np.searchsorted(limits, bandwidth))
-    if level == limits.size:
+    if 2.0 * np.pi * top * spread > limits[-1]:
         raise CutoffTooSmall(
             f"averaging needs more than {_MAX_QUAD_NODES} nodes per period "
-            f"at p={p}, amplitude {amp_max:g}"
+            f"at p={p}, amplitude {top:g}"
         )
-    return _QUAD_NODES << level
+    bandwidth = amps * (2.0 * np.pi)
+    bandwidth *= spread
+    return _QUAD_NODES << limits.searchsorted(bandwidth)
 
 
 def _block_buffers(size: int) -> list[np.ndarray]:
@@ -223,54 +245,94 @@ def avg_frequency_slopes(
     Returns (f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc), each with one
     entry per amplitude, in GHz and GHz per flux quantum, for the ladder
     of ``curve`` (ladder_curve).  ``theta_rad`` is one relative phase for
-    the batch or one per amplitude; the node count does not depend on it.
-    Rectangle rule on a uniform grid over one fundamental period,
-    spectrally exact for the periodic integrand; the
-    node count is the fewest power of two from 32 up whose a-priori
-    aliasing bound at the batch's largest amplitude holds f_bar within
-    1e-11 GHz and both slopes within 1e-9 GHz per flux quantum
+    the batch or one per amplitude.  Rectangle rule on a uniform grid over
+    one fundamental period, spectrally exact for the periodic integrand.
+    Each amplitude is summed at its own node count: the fewest power of two
+    from 32 up whose a-priori aliasing bound at that amplitude holds f_bar
+    within 1e-11 GHz and both slopes within 1e-9 GHz per flux quantum
     (CutoffTooSmall past 32768); a count at or below p is never certified.
-    The curve and its flux slope are summed by Clenshaw recurrence on
-    blocks of amplitude rows, at most 32768 (amplitude, node) elements
-    each, in buffers that each thread keeps across calls: a warm call
-    allocates no amplitude x node array, only its three results.  The
-    slopes are exact derivatives of the same quadrature, not finite
-    differences.
+    No entry depends on what else is in its batch: f_bar and the phi_dc
+    slope are bit-identical to a call with that amplitude alone, and the
+    phi_ac slope agrees to round-off.
+
+    The amplitudes, sorted by count, lie row after row in blocks of at
+    most 32768 (amplitude, node) elements (or one row), in flat buffers
+    that each thread keeps across calls: a warm call allocates no
+    amplitude x node array, only per-amplitude results.  The curve and its
+    flux slope are summed over a whole block at once by Clenshaw
+    recurrence, whatever counts it mixes.  A run of one count takes its
+    drive from the cached row of its one phase, or from one row per
+    distinct phase when phases repeat.  The slopes are exact derivatives
+    of the same quadrature, not finite differences.
     """
     amps = np.atleast_1d(np.asarray(amps, dtype=float))
     thetas = np.asarray(theta_rad, dtype=float)
     per_row = thetas.ndim > 0
     if per_row and thetas.shape != amps.shape:
         raise ValidationError("theta_rad must be one phase or one per amplitude")
-    nodes = _quadrature_nodes(curve, p, alpha_rad, float(np.max(np.abs(amps), initial=0.0)))
-    drive = None if per_row else _drive(p, alpha_rad, float(thetas), nodes)
-    rows = max(1, _BLOCK_ELEMENTS // nodes)
-    buffers = _block_buffers(min(rows, amps.size) * nodes)
+    counts = _quadrature_nodes(curve, p, alpha_rad, amps)
     fbar, dac, ddc = (np.empty(amps.size) for _ in range(3))
-    for start in range(0, amps.size, rows):
-        out = slice(start, start + rows)
-        block = amps[out]
-        phi, *work = (b[: block.size * nodes].reshape(block.size, nodes) for b in buffers)
-        if per_row:
-            _drive_rows(p, alpha_rad, thetas[out], nodes, phi)
-            phi *= block[:, None]
-        else:
-            np.einsum("i,j->ij", block, drive, out=phi)
+    if not amps.size:
+        return fbar, dac, ddc
+    order = np.argsort(counts, kind="stable")
+    ordered, ordered_amps = counts[order], amps[order]
+    # element offset of the end of each sorted row, and the sorted rows
+    # where a larger count starts
+    ends = ordered.cumsum()
+    changes = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    buffers = _block_buffers(int(min(ends[-1], max(_BLOCK_ELEMENTS, ordered[-1]))))
+    # per sorted row: the sums of the curve, its flux slope, and the slope
+    # times the drive over the row's nodes
+    sums = np.empty((3, amps.size))
+    first = 0
+    while first < amps.size:
+        base = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(ends.searchsorted(base + _BLOCK_ELEMENTS, side="right")))
+        phi, *work = (b[: int(ends[last - 1]) - base] for b in buffers)
+        # runs of one count: (sorted rows lo:hi, nodes, element slice, phases,
+        # row of each); rows of one phase share its cached drive, and rows
+        # that repeat phases take them from a table of one row per phase
+        runs, lo = [], first
+        for hi in [*(i for i in changes if first < i < last), last]:
+            nodes = int(ordered[lo])
+            start = int(ends[lo]) - nodes - base
+            if not per_row:
+                phases, pick = thetas.reshape(1), None
+            else:
+                phases, pick = np.unique(thetas[order[lo:hi]], return_inverse=True)
+                if phases.size == hi - lo:
+                    phases, pick = thetas[order[lo:hi]], None
+            runs.append((lo, hi, nodes, slice(start, start + (hi - lo) * nodes), phases, pick))
+            lo = hi
+        for lo, hi, nodes, span, phases, pick in runs:
+            seg = phi[span].reshape(hi - lo, nodes)
+            if phases.size == 1:
+                drive = _drive(p, alpha_rad, float(phases[0]), nodes)
+                np.multiply(ordered_amps[lo:hi, None], drive, out=seg)
+            else:
+                _fill_drives(seg, p, alpha_rad, phases, pick, work[0])
+                seg *= ordered_amps[lo:hi, None]
         phi += phi_dc
         phi *= 2.0 * np.pi
         f, g = curve._phase_sums(phi, work, slope=True)
-        # d phi / d phi_ac = 2 pi drive and d phi / d phi_dc = 2 pi
-        f.mean(axis=1, out=fbar[out])
-        if per_row:
-            # _phase_sums only reads phi, so its buffer takes the drive again
-            _drive_rows(p, alpha_rad, thetas[out], nodes, phi)
-            np.einsum("ij,ij->i", g, phi, out=dac[out])
-        else:
-            np.dot(g, drive, out=dac[out])
-        g.sum(axis=1, out=ddc[out])
-    scale = 2.0 * np.pi / nodes
-    dac *= scale
-    ddc *= scale
+        # d phi / d phi_ac = 2 pi drive and d phi / d phi_dc = 2 pi; phi and
+        # work[0] are free again, and take the drive rows back
+        for lo, hi, nodes, span, phases, pick in runs:
+            shape = (hi - lo, nodes)
+            gs = g[span].reshape(shape)
+            np.add.reduce(f[span].reshape(shape), axis=1, out=sums[0, lo:hi])
+            np.add.reduce(gs, axis=1, out=sums[1, lo:hi])
+            if phases.size == 1:
+                np.dot(gs, _drive(p, alpha_rad, float(phases[0]), nodes), out=sums[2, lo:hi])
+            else:
+                seg = phi[span].reshape(shape)
+                _fill_drives(seg, p, alpha_rad, phases, pick, work[0])
+                np.einsum("ij,ij->i", gs, seg, out=sums[2, lo:hi])
+        first = last
+    scale = 2.0 * np.pi / ordered
+    fbar[order] = sums[0] / ordered
+    ddc[order] = sums[1] * scale
+    dac[order] = sums[2] * scale
     return fbar, dac, ddc
 
 
@@ -459,30 +521,58 @@ def dephasing_proxy(point: OperatingPoint, noise: NoiseModel = NoiseModel()) -> 
     )
 
 
-def _slope_proxy(
-    slope: Callable[[np.ndarray], np.ndarray], window: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chebyshev interpolant of the phi_ac slope over the window.
+def _slope_proxies(
+    slope: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows: int,
+    window: tuple[float, float],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Chebyshev interpolants of the phi_ac slope over the window, one per row.
 
-    Returns its coefficients (on x in [-1, 1] across the window) and the
-    Lobatto amplitudes, ascending, with the slopes it was built from.  The
-    degree starts at _PROXY_DEGREE and doubles, reusing every earlier
-    sample, until the last three coefficients fall below _PROXY_TAIL
-    times the largest; the tail bounds the proxy's error, so a root pair
-    is lost only where the slope never leaves that band between them.
+    ``slope(row, amps)`` is the kernel slope of row ``row[i]`` at
+    ``amps[i]``.  Returns per row its coefficients (on x in [-1, 1] across
+    the window) and the Lobatto amplitudes, ascending, with the slopes it
+    was built from.  The degree starts at _PROXY_DEGREE for every row in
+    one call.  A row doubles its degree, reusing every earlier sample, only
+    while its own last three coefficients exceed _PROXY_TAIL times its
+    largest, and one call samples the new points of every row still
+    pending; CutoffTooSmall past _PROXY_MAX_DEGREE.  The tail bounds the
+    proxy's error, so a root pair is lost only where the slope never leaves
+    that band between them.
     """
     lo, hi = window
 
     def amps(x: np.ndarray) -> np.ndarray:
         return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
 
-    coeffs, values = interpolate(
-        lambda x: slope(amps(x)),
-        lambda c: _PROXY_TAIL * np.max(np.abs(c)),
-        degree=_PROXY_DEGREE, max_degree=_PROXY_MAX_DEGREE, what="slope proxy",
-    )
-    # samples in increasing amplitude
-    return coeffs, amps(lobatto_points(coeffs.size - 1))[::-1], values[::-1]
+    def sample(pending: np.ndarray, x: np.ndarray) -> np.ndarray:
+        values = slope(np.repeat(pending, x.size), np.tile(amps(x), pending.size))
+        return values.reshape(pending.size, x.size)
+
+    n, pending = _PROXY_DEGREE, np.arange(rows)
+    values = sample(pending, lobatto_points(n))
+    proxies: list = [None] * rows
+    while True:
+        coeffs = lobatto_coefficients(values)
+        tail = np.max(np.abs(coeffs[:, -3:]), axis=1)
+        limit = _PROXY_TAIL * np.max(np.abs(coeffs), axis=1)
+        settled = tail <= limit
+        # samples in increasing amplitude
+        edges = amps(lobatto_points(n))[::-1]
+        for i in np.flatnonzero(settled):
+            proxies[pending[i]] = (coeffs[i], edges, values[i, ::-1])
+        if settled.all():
+            return proxies
+        if 2 * n > _PROXY_MAX_DEGREE:
+            i = int(np.argmin(settled))
+            raise CutoffTooSmall(
+                f"slope proxy: Chebyshev tail {tail[i]:.2e} still above {limit[i]:.2e} "
+                f"at degree {n}"
+            )
+        pending, values = pending[~settled], values[~settled]
+        merged = np.empty((pending.size, 2 * n + 1))
+        merged[:, 0::2] = values
+        merged[:, 1::2] = sample(pending, lobatto_points(2 * n, odd_only=True))
+        values, n = merged, 2 * n
 
 
 def _sign_change_roots(
@@ -528,49 +618,71 @@ def _sign_change_roots(
     return start[cell - 1], edges[cell - 1], edges[cell], slopes[cell - 1]
 
 
-def _solve(
+def _solve_row(
     curve: LadderCurve,
     phi_dc: float,
     p: int,
     alpha: float,
-    theta: float,
+    thetas: Sequence[float],
     window: tuple[float, float],
     xtol: float,
-) -> list[tuple[float, float, float, float]]:
-    """(amplitude, f_bar, d f_bar / d phi_ac, d f_bar / d phi_dc) per root."""
+) -> list[np.ndarray]:
+    """Roots of the nodes (alpha, theta) of one grid row, solved together.
+
+    Returns per theta an array of rows (amplitude, f_bar, d f_bar / d
+    phi_ac, d f_bar / d phi_dc), empty where the window holds no root.
+    Every node gets its own proxy (_slope_proxies), roots
+    (_sign_change_roots) and polish, and the kernel calls are shared:
+    one for every proxy's first samples, one per doubling of the nodes
+    still pending, and one per Newton step on every root of the row, each
+    node stopping at its own step.  As each kernel entry does not depend
+    on its batch, a node's roots are the ones it would get alone.
+    """
     lo, hi = window
+    thetas = np.asarray(thetas, dtype=float)
 
-    def slope(amps: np.ndarray) -> np.ndarray:
-        return avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)[1]
+    def phases(row: np.ndarray) -> np.ndarray | float:
+        # a row of one node passes its one phase, the kernel's cheapest path
+        return thetas[row] if thetas.size > 1 else float(thetas[0])
 
-    coeffs, edges, slopes = _slope_proxy(slope, window)
-    # the negligible tail only slows the colleague-matrix eigensolve
-    big = np.nonzero(np.abs(coeffs) > _PROXY_TAIL * np.max(np.abs(coeffs)))[0]
-    coeffs = coeffs[: big[-1] + 1] if big.size else coeffs[:1]
-    amps, a, b, s_left = _sign_change_roots(coeffs, edges, slopes, window, slope)
-    if not amps.size:
-        raise NoRoot(
-            f"no stationary amplitude in [{lo}, {hi}] for alpha={alpha:.4f}, "
-            f"theta={theta:.4f}"
+    def slope(row: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        return avg_frequency_slopes(curve, phi_dc, p, alpha, phases(row), amps)[1]
+
+    found = []
+    for i, (coeffs, edges, slopes) in enumerate(_slope_proxies(slope, thetas.size, window)):
+        # the negligible tail only slows the colleague-matrix eigensolve
+        big = np.nonzero(np.abs(coeffs) > _PROXY_TAIL * np.max(np.abs(coeffs)))[0]
+        coeffs = coeffs[: big[-1] + 1] if big.size else coeffs[:1]
+        roots = _sign_change_roots(
+            coeffs, edges, slopes, window, lambda a, i=i: slope(np.full(a.size, i), a)
         )
+        found.append((roots, np.polynomial.chebyshev.chebder(coeffs) * (2.0 / (hi - lo))))
+    node = np.concatenate([np.full(roots[0].size, i) for i, (roots, _) in enumerate(found)])
+    if not node.size:
+        return [np.empty((0, 4))] * thetas.size
 
-    # Newton steps on the kernel slope for all roots at once, with the
-    # proxy's derivative as Jacobian; f_bar and both slopes come from the
-    # last kernel call
-    jac_coeffs = np.polynomial.chebyshev.chebder(coeffs) * (2.0 / (hi - lo))
+    # Newton steps on the kernel slope for all roots at once, with each
+    # node's proxy derivative (one zero-padded column per root) as
+    # Jacobian; f_bar and both slopes come from the last kernel call, at
+    # the root each node kept
+    start, a, b, s_left = (np.concatenate([roots[k] for roots, _ in found]) for k in range(4))
+    jac_coeffs = np.zeros((max(d.size for _, d in found), node.size))
+    for i, (_, d) in enumerate(found):
+        jac_coeffs[: d.size, node == i] = d[:, None]
 
     def evaluate(amps: np.ndarray) -> tuple[np.ndarray, ...]:
-        fbar, dac, ddc = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, amps)
-        jac = np.polynomial.chebyshev.chebval((2.0 * amps - hi - lo) / (hi - lo), jac_coeffs)
+        fbar, dac, ddc = avg_frequency_slopes(curve, phi_dc, p, alpha, phases(node), amps)
+        jac = np.polynomial.chebyshev.chebval(
+            (2.0 * amps - hi - lo) / (hi - lo), jac_coeffs, tensor=False
+        )
         return dac, jac, fbar, dac, ddc
 
-    amps, (fbar, dac, ddc) = bracketed_newton(
-        evaluate, amps, a, b, s_left, 0.5 * xtol,
-        what="sweet-spot polish", max_steps=_NEWTON_MAX_STEPS,
+    amps, extra = bracketed_newton(
+        evaluate, start, a, b, s_left, 0.5 * xtol,
+        what="sweet-spot polish", max_steps=_NEWTON_MAX_STEPS, groups=node,
     )
-    return [
-        (float(r), float(f), float(d), float(e)) for r, f, d, e in zip(amps, fbar, dac, ddc)
-    ]
+    table = np.column_stack((amps, *extra))
+    return [table[node == i] for i in range(thetas.size)]
 
 
 def _check_window(window: tuple[float, float]) -> None:
@@ -596,23 +708,74 @@ def sweet_spot_solve(
     eigenvalues of its colleague matrix, are kept where the kernel's own
     slope changes sign across them, so a tangency is not a root.  Newton
     steps on the kernel then polish all roots together until every step
-    is below ``xtol / 2``.  Returns (amplitude, average frequency) pairs in
+    is below ``xtol / 2``.  This is the row engine of sweet_spot_atlas on
+    a row of one node.  Returns (amplitude, average frequency) pairs in
     increasing amplitude order; raises NoRoot when the window contains
     none, which is a legitimate outcome for some mixing angles.
     """
     require_finite(phi_dc=phi_dc, alpha_rad=alpha_rad, theta_rad=theta_rad)
     _check_window(window)
-    roots = _solve(ladder_curve(spec), phi_dc, p, alpha_rad, theta_rad, window, xtol)
-    return [(amp, fbar) for amp, fbar, _, _ in roots]
+    [roots] = _solve_row(ladder_curve(spec), phi_dc, p, alpha_rad, [theta_rad], window, xtol)
+    if not roots.size:
+        raise NoRoot(
+            f"no stationary amplitude in [{window[0]}, {window[1]}] for "
+            f"alpha={alpha_rad:.4f}, theta={theta_rad:.4f}"
+        )
+    return [(amp, fbar) for amp, fbar in roots[:, :2].tolist()]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class AtlasResult:
-    """Sweet-spot candidates over an (alpha, theta) grid."""
+    """Sweet-spot candidates over an (alpha, theta) grid.
 
-    points: tuple[OperatingPoint, ...]
+    ``table`` holds one read-only row per stationary amplitude, in grid
+    order (alpha, then theta, then amplitude): alpha, theta, amplitude,
+    f_bar and the phi_ac and phi_dc slopes.  ``points`` builds their
+    operating points when read: pulses at the atlas's p, dc bias and
+    modulation frequency, flagged against its threshold.  Two results are
+    equal when their points and counts are.
+    """
+
+    table: np.ndarray
+    p: int
+    phi_dc_phi0: float
+    fm_mhz: float
+    threshold_ghz_per_phi0: float
     n_grid_nodes: int
     n_no_root: int
+
+    def __post_init__(self) -> None:
+        table = np.array(self.table, dtype=float)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through __init__, so a loaded table is read-only too
+        return AtlasResult, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AtlasResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.n_grid_nodes, self.n_no_root, self.points
+
+    @property
+    def points(self) -> tuple[OperatingPoint, ...]:
+        return tuple(
+            _point(
+                BichromaticPulse(
+                    fm_mhz=self.fm_mhz, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta,
+                    p=self.p, phi_dc_phi0=self.phi_dc_phi0,
+                ),
+                fbar, dac, ddc, self.threshold_ghz_per_phi0,
+            )
+            for alpha, theta, amp, fbar, dac, ddc in self.table.tolist()
+        )
 
     @property
     def fbar_span_ghz(self) -> tuple[float, float]:
@@ -635,17 +798,10 @@ class AtlasResult:
                 )
 
 
-def _atlas_chunk(args: tuple) -> list[tuple[float, float, list]]:
-    """(alpha, theta, roots of _solve) per node, no roots where NoRoot."""
+def _atlas_chunk(args: tuple) -> list[list[np.ndarray]]:
+    """The roots of _solve_row for each alpha row of the chunk."""
     (curve, phi_dc, p, alphas, thetas, window, xtol) = args
-    rows = []
-    for alpha in alphas:
-        for theta in thetas:
-            try:
-                rows.append((alpha, theta, _solve(curve, phi_dc, p, alpha, theta, window, xtol)))
-            except NoRoot:
-                rows.append((alpha, theta, []))
-    return rows
+    return [_solve_row(curve, phi_dc, p, alpha, thetas, window, xtol) for alpha in alphas]
 
 
 def sweet_spot_atlas(
@@ -663,16 +819,18 @@ def sweet_spot_atlas(
 ) -> AtlasResult:
     """Locate stationary amplitudes across a grid of mixing parameters.
 
-    Every grid node is solved independently by the root finder of
-    sweet_spot_solve, and f_bar and both slopes come from its last kernel
-    call at each root; nodes without a root are counted, not fatal.  The
-    reported operating points carry a pulse with the given modulation
-    frequency, which does not affect the average frequency or the
-    sensitivities.  With ``jobs > 1`` the alpha rows are distributed over
-    min(jobs, alpha rows, CPU count) worker processes, and solved in this
-    process when that is one.  The process pool is imported only when one
-    starts, so no other path loads multiprocessing.  Output ordering is
-    independent of the job count.
+    Each alpha row is solved by the root finder of sweet_spot_solve for
+    all its theta nodes together, in shared kernel calls, and each node
+    gets the roots it would get alone; f_bar and both slopes come from its
+    last kernel call at each root, and nodes without a root are counted,
+    not fatal.  The answer keeps them as one table (AtlasResult), whose
+    operating points carry a pulse with the given modulation frequency,
+    which does not affect the average frequency or the sensitivities.
+    With ``jobs > 1`` the alpha rows are distributed over min(jobs, alpha
+    rows, CPU count) worker processes, and solved in this process when that
+    is one.  The process pool is imported only when one starts, so no other
+    path loads multiprocessing.  Output ordering is independent of the job
+    count.
     """
     alphas = [float(a) for a in alpha_grid]
     thetas = [float(t) for t in theta_grid]
@@ -684,6 +842,11 @@ def sweet_spot_atlas(
         **{f"theta_grid[{i}]": t for i, t in enumerate(thetas)},
     )
     _check_window(window)
+    # the points are built when read: refuse up front a pulse they could not hold
+    for alpha in alphas:
+        BichromaticPulse(
+            fm_mhz=fm_mhz, phi_ac_phi0=window[0], alpha_rad=alpha, p=p, phi_dc_phi0=phi_dc
+        )
     curve = ladder_curve(spec)
 
     # the pool starts all its workers at the first submit
@@ -695,23 +858,22 @@ def sweet_spot_atlas(
 
         chunks = [(curve, phi_dc, p, [a], thetas, window, xtol) for a in alphas]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_alpha = list(pool.map(_atlas_chunk, chunks))
-        rows = [row for chunk in per_alpha for row in chunk]
+            rows = [row for chunk in pool.map(_atlas_chunk, chunks) for row in chunk]
     else:
         rows = _atlas_chunk((curve, phi_dc, p, alphas, thetas, window, xtol))
 
-    points = []
-    for alpha, theta, roots in rows:
-        for amp, fbar, dac, ddc in roots:
-            pulse = BichromaticPulse(
-                fm_mhz=fm_mhz, phi_ac_phi0=amp, alpha_rad=alpha, theta_rad=theta, p=p,
-                phi_dc_phi0=phi_dc,
-            )
-            points.append(_point(pulse, fbar, dac, ddc, threshold_ghz_per_phi0))
+    nodes = [
+        (alpha, theta, roots)
+        for alpha, row in zip(alphas, rows)
+        for theta, roots in zip(thetas, row)
+    ]
+    table = np.concatenate(
+        [np.column_stack((np.full((len(r), 2), (a, t)), r)) for a, t, r in nodes]
+    )
     return AtlasResult(
-        points=tuple(points),
-        n_grid_nodes=len(rows),
-        n_no_root=sum(not roots for _, _, roots in rows),
+        table=table, p=p, phi_dc_phi0=phi_dc, fm_mhz=fm_mhz,
+        threshold_ghz_per_phi0=threshold_ghz_per_phi0,
+        n_grid_nodes=len(nodes), n_no_root=sum(not len(r) for _, _, r in nodes),
     )
 
 

@@ -7,7 +7,7 @@ slope both sample at the Chebyshev-Lobatto points cos(pi j / n) and double
 n, reusing every earlier sample, until the last coefficients are
 negligible; Clenshaw recurrence sums such a series, in place on buffers
 the caller may keep.  A bracketed Newton iteration polishes many roots of
-one batched function at once.
+one batched function at once, in groups that each stop on their own.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import CutoffTooSmall, NumericalError
 
-__all__ = ["lobatto_points", "interpolate", "clenshaw", "bracketed_newton"]
+__all__ = [
+    "lobatto_points", "lobatto_coefficients", "interpolate", "clenshaw", "bracketed_newton",
+]
 
 
 def lobatto_points(n: int, odd_only: bool = False) -> np.ndarray:
@@ -29,6 +31,16 @@ def lobatto_points(n: int, odd_only: bool = False) -> np.ndarray:
     """
     j = np.arange(1, n, 2) if odd_only else np.arange(n + 1)
     return np.cos(np.pi * j / n)
+
+
+def lobatto_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through ``values`` at
+    lobatto_points(n), n + 1 values along the last axis, one row each."""
+    n = values.shape[-1] - 1
+    # values at cos(pi j / n) are a real-even sequence of period 2n
+    coeffs = np.fft.rfft(np.concatenate([values, values[..., -2:0:-1]], axis=-1)).real / n
+    coeffs[..., [0, n]] *= 0.5
+    return coeffs
 
 
 def interpolate(
@@ -52,9 +64,7 @@ def interpolate(
     n = degree
     values = sample(lobatto_points(n))
     while True:
-        # values at cos(pi j / n) are a real-even sequence of period 2n
-        coeffs = np.fft.rfft(np.concatenate([values, values[..., -2:0:-1]], axis=-1)).real / n
-        coeffs[..., [0, n]] *= 0.5
+        coeffs = lobatto_coefficients(values)
         tail, limit = np.max(np.abs(coeffs[..., -3:])), tolerance(coeffs)
         if tail <= limit:
             return coeffs, values
@@ -114,6 +124,7 @@ def bracketed_newton(
     *,
     what: str,
     max_steps: int = 100,
+    groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Roots of a batched function, one per bracket [lo, hi], polished together.
 
@@ -121,18 +132,29 @@ def bracketed_newton(
     Jacobian estimate for the Newton step, and anything the caller wants
     back from the last evaluation.  ``sign_lo`` holds the sign of r at each
     bracket's low end.  Every residual shrinks its root's bracket, and a
-    Newton step that would leave the bracket bisects it instead.  Stops
-    when every step is below ``xtol`` and returns (x, extra) from that
-    evaluation; raises NumericalError naming ``what`` after ``max_steps``.
+    Newton step that would leave the bracket bisects it instead.
+    ``groups`` labels each root with a non-negative integer, by default
+    one label for all.  A group stops at the first evaluation where every
+    step of its roots is below ``xtol``: its roots keep that x and take no
+    further step, while the other groups go on.  Returns (x, extra) from
+    the evaluation where the last group stops, so when ``evaluate`` gives
+    each root's values independently of the others, every group gets the
+    answer it would get alone; raises NumericalError naming ``what`` after
+    ``max_steps``.
     """
+    done = np.zeros(x.size, dtype=bool)
     for _ in range(max_steps):
         r, jac, *extra = evaluate(x)
         below = r * sign_lo > 0.0
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         newton = x - np.divide(r, jac, out=np.full_like(r, np.inf), where=jac != 0.0)
         step = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi)) - x
-        step[r == 0.0] = 0.0
-        if np.all(np.abs(step) < xtol):
+        step[(r == 0.0) | done] = 0.0
+        unsettled = ~(np.abs(step) < xtol)
+        if not unsettled.any():
             return x, tuple(extra)
+        if groups is not None:
+            done |= (np.bincount(groups, weights=unsettled, minlength=1) == 0)[groups]
+            step[done] = 0.0
         x = x + step
     raise NumericalError(f"{what} did not reach xtol={xtol:g} in {max_steps} steps")

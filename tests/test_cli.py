@@ -177,6 +177,21 @@ class TestPlan:
         assert payload["collisions"] == []
         assert payload["g_eff_mhz"] > 0.0
 
+    def test_optimize_jobs_do_not_change_the_plan(self, runner, device_file, tmp_path):
+        # the grid atlas runs on two workers; only the manifest's jobs differs
+        args = ("plan", "--pair", "q1:q2", "--gate", "cz02", "--k=-8", "--optimize",
+                "--grid", "8")
+        a, b = tmp_path / "a", tmp_path / "b"
+        res_a = _invoke(runner, device_file, a, *args, jobs=1)
+        res_b = _invoke(runner, device_file, b, *args, jobs=2)
+        assert res_a.exit_code == res_b.exit_code == 0
+        assert res_a.output.replace(str(a), "") == res_b.output.replace(str(b), "")
+        for name in ("plan_q1-q2_cz02.json", "resonances_q1-q2.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        run_a, run_b = (json.loads((d / "plan_run.json").read_text()) for d in (a, b))
+        assert (run_a.pop("jobs"), run_b.pop("jobs")) == (1, 2)
+        assert run_a == run_b
+
     def test_infeasible_cap_exits_3(self, runner, device_file, tmp_path):
         res = _invoke(runner, device_file, tmp_path, "plan", "--pair", "q1:q2",
                       "--k=-2", "--optimize", "--grid", "4",

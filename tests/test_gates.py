@@ -524,6 +524,17 @@ class TestOptimizeWeight:
                 pair12, 3, -3, gate_type=GateType.CZ02, grid_shape=(4, 4), refine=False
             )
 
+    def test_jobs_reach_only_the_grid_atlas(self, pair12, monkeypatch):
+        atlas, jobs = gates.sweet_spot_atlas, []
+
+        def recording(*args, **kwargs):
+            jobs.append(kwargs.get("jobs", 1))
+            return atlas(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "sweet_spot_atlas", recording)
+        optimize_weight(pair12, 3, -4, gate_type=GateType.ISWAP, grid_shape=(4, 4), jobs=3)
+        assert jobs[0] == 3 and len(jobs) > 1 and set(jobs[1:]) == {1}
+
     def test_grid_validation(self, q1, pair12):
         with pytest.raises(ValidationError):
             optimize_weight(pair12, 3, -2, grid_shape=(2, 2))

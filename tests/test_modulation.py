@@ -394,6 +394,50 @@ class TestPhasePerRow:
             avg_frequency_slopes(ladder_curve(q1), 0.0, 3, 0.5, [0.1, 0.2], [0.3, 0.4, 0.5])
 
 
+class TestBatchIndependence:
+    PHASE = st.one_of(st.floats(-math.pi, math.pi), st.sampled_from([-1.0, 0.5, 2.0]))
+
+    @settings(max_examples=40)
+    @given(
+        name=st.sampled_from(["q1", "q2", "q3", "q4", "r0.837", "r0.974"]),
+        p=st.integers(1, 5),
+        alpha=st.floats(0.0, math.pi / 2),
+        phi_dc=st.floats(-0.5, 0.5),
+        amps=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=200),
+        thetas=st.lists(PHASE, min_size=200, max_size=200),
+        per_row=st.booleans(),
+    )
+    @example(
+        name="r0.837", p=3, alpha=0.9, phi_dc=0.1, amps=np.linspace(0.0, 0.9, 200).tolist(),
+        thetas=[-1.0, 0.5, 2.0, 0.25] * 50, per_row=True,
+    )
+    @example(
+        name="q3", p=5, alpha=0.4, phi_dc=0.0, amps=np.linspace(0.9, 0.0, 200).tolist(),
+        thetas=[0.3] * 200, per_row=False,
+    )
+    def test_an_entry_does_not_depend_on_its_batch(
+        self, study_qubits, name, p, alpha, phi_dc, amps, thetas, per_row
+    ):
+        # each amplitude is summed at its own node count, so its entry is
+        # the one it gets alone, whatever else the batch holds; per-row
+        # phases mix repeats (a drive table) with distinct ones
+        curve = ladder_curve({**study_qubits, **WIDE_RANGE}[name])
+        thetas = thetas[: len(amps)] if per_row else [thetas[0]] * len(amps)
+        try:
+            fbar, dac, ddc = avg_frequency_slopes(
+                curve, phi_dc, p, alpha, thetas if per_row else thetas[0], amps
+            )
+        except CutoffTooSmall:
+            # the batch refuses exactly when its largest amplitude does alone
+            with pytest.raises(CutoffTooSmall):
+                avg_frequency_slopes(curve, phi_dc, p, alpha, 0.0, [max(amps)])
+            return
+        for i, (theta, amp) in enumerate(zip(thetas, amps)):
+            [f], [s_ac], [s_dc] = avg_frequency_slopes(curve, phi_dc, p, alpha, theta, [amp])
+            assert fbar[i] == f and ddc[i] == s_dc, (i, amp)
+            assert abs(dac[i] - s_ac) <= 1e-14, (i, amp)
+
+
 class TestFirstPhaseHarmonic:
     @pytest.mark.parametrize("name", ["q1", "q3"])
     def test_matches_the_closed_form_on_study_qubits(self, study_qubits, name):
@@ -679,6 +723,124 @@ class TestAtlas:
 
 # the two near-symmetric SQUIDs of the wide-range tests, by junction ratio
 WIDE_RANGE = {"r0.837": fit_spec(5.5, 1.5, -0.2), "r0.974": fit_spec(6.0, 0.8, -0.2)}
+
+
+class TestRowEngine:
+    # (qubit, p, alpha) rows of eight theta nodes: on the first two, nodes
+    # settle their proxies at degree 32 and at 64 and some hold no root
+    ROWS = [("q1", 1, 0.3), ("q1", 3, 1.1), ("q3", 5, 0.7)]
+    THETAS = np.linspace(-math.pi, math.pi, 8, endpoint=False)
+
+    @pytest.mark.parametrize("name, p, alpha", ROWS)
+    def test_row_matches_one_solve_per_node(self, study_qubits, name, p, alpha):
+        spec = study_qubits[name]
+        atlas = sweet_spot_atlas(spec, 0.0, p, [alpha], self.THETAS)
+        by_theta = {}
+        for pt in atlas.points:
+            by_theta.setdefault(pt.pulse.theta_rad, []).append(pt.pulse.phi_ac_phi0)
+        no_root = 0
+        for theta in self.THETAS:
+            try:
+                alone = [amp for amp, _ in sweet_spot_solve(spec, 0.0, p, alpha, float(theta))]
+            except NoRoot:
+                alone, no_root = [], no_root + 1
+            got = by_theta.get(float(theta), [])
+            assert len(got) == len(alone), theta
+            assert np.max(np.abs(np.subtract(got, alone)), initial=0.0) <= 1e-9, theta
+        assert atlas.n_no_root == no_root
+        assert atlas.n_grid_nodes == self.THETAS.size
+
+    def test_rows_cover_mixed_degrees_and_empty_nodes(self, study_qubits):
+        # the rows above are the cases they claim to be
+        for name, p, alpha in self.ROWS[:2]:
+            curve = ladder_curve(study_qubits[name])
+
+            def slope(row, amps):
+                return avg_frequency_slopes(curve, 0.0, p, alpha, self.THETAS[row], amps)[1]
+
+            degrees = {c.size - 1 for c, _, _ in modulation._slope_proxies(
+                slope, self.THETAS.size, (0.05, 0.9))}
+            assert degrees == {32, 64}
+            assert sweet_spot_atlas(study_qubits[name], 0.0, p, [alpha], self.THETAS).n_no_root
+
+    def test_one_node_cutoff_propagates(self, q1, monkeypatch):
+        # with the proxy capped at degree 32, the row's degree-64 nodes cannot
+        # settle; the others still solve alone, but the atlas refuses
+        monkeypatch.setattr(modulation, "_PROXY_MAX_DEGREE", 32)
+        sweet_spot_solve(q1, 0.0, 1, 0.3, float(self.THETAS[1]))
+        with pytest.raises(CutoffTooSmall, match="slope proxy"):
+            sweet_spot_atlas(q1, 0.0, 1, [0.3], self.THETAS)
+
+    def test_newton_groups_stop_on_their_own(self):
+        # two groups polished together return what each returns alone
+        levels = np.array([0.2, 0.7, 0.3, 0.9])
+        groups = np.array([0, 1, 1, 0])
+
+        def run(idx, **kw):
+            def evaluate(x):
+                return np.sin(x) - levels[idx], np.cos(x), 2.0 * x
+            return modulation.bracketed_newton(
+                evaluate, np.full(idx.size, 0.1), np.zeros(idx.size), np.full(idx.size, 1.5),
+                -np.ones(idx.size), 1e-12, what="test", **kw,
+            )
+
+        together, (extra,) = run(np.arange(4), groups=groups)
+        for g in (0, 1):
+            idx = np.flatnonzero(groups == g)
+            alone, (alone_extra,) = run(idx)
+            assert np.array_equal(together[idx], alone)
+            assert np.array_equal(extra[idx], alone_extra)
+
+
+class TestAtlasResult:
+    def test_pickle_round_trip(self, q1):
+        import pickle
+
+        atlas = sweet_spot_atlas(q1, 0.02, 3, [0.3, 0.9], [-1.0, 0.5, 2.0], fm_mhz=120.0)
+        loaded = pickle.loads(pickle.dumps(atlas))
+        assert loaded == atlas and loaded.points == atlas.points
+        assert loaded.fbar_span_ghz == atlas.fbar_span_ghz
+        assert not loaded.table.flags.writeable
+        assert loaded != sweet_spot_atlas(q1, 0.02, 3, [0.3], [-1.0, 0.5, 2.0], fm_mhz=120.0)
+
+    def test_table_is_read_only(self, q1):
+        atlas = sweet_spot_atlas(q1, 0.0, 3, [0.5], [-1.0, 0.0, 1.0])
+        assert atlas.table.shape == (len(atlas.points), 6)
+        with pytest.raises(ValueError):
+            atlas.table[0, 2] = 0.0
+
+    def test_kept_answer_is_small(self, study_qubits):
+        import gc
+        import tracemalloc
+
+        # the atlas workload's requests: one seeded alpha row of six thetas
+        rng = np.random.default_rng(3)
+        names = sorted(study_qubits)
+
+        def request():
+            offset = rng.uniform(0.0, 1.0 / 6)
+            return (
+                study_qubits[names[int(rng.integers(4))]], float(rng.uniform(-0.02, 0.02)),
+                int(rng.choice([3, 5])), [float(rng.uniform(0.0, 0.25)) * 2 * math.pi],
+                [(offset + i / 6 - 0.5) * 2 * math.pi for i in range(6)],
+            )
+
+        requests = [request() for _ in range(200)]
+        tracemalloc.start()
+        try:
+            kept = [sweet_spot_atlas(*req) for req in requests]
+            points = sum(len(a.points) for a in kept)
+            gc.collect()
+            with_answers = tracemalloc.get_traced_memory()[0]
+            # what the answers hold is what dropping them frees; caches and
+            # the kernel's workspace stay
+            del kept
+            gc.collect()
+            per_answer = (with_answers - tracemalloc.get_traced_memory()[0]) / len(requests)
+        finally:
+            tracemalloc.stop()
+        assert points > 1000
+        assert per_answer <= 1200, per_answer
 
 
 def _reference_weights(curve, pulse, nodes=65536):
